@@ -75,11 +75,14 @@ def test_fanin_internet_sweep(record_bench_json, tmp_path):
         if profile:
             metrics.enable_memory_profile()
         t0 = time.perf_counter()
-        result = run_inference(
-            factory, start, end, InferenceConfig.extended(),
-            as2org=as2org, step_days=STEP_DAYS, jobs=2,
-            metrics=metrics, **kwargs,
-        )
+        try:
+            result = run_inference(
+                factory, start, end, InferenceConfig.extended(),
+                as2org=as2org, step_days=STEP_DAYS, jobs=2,
+                metrics=metrics, **kwargs,
+            )
+        finally:
+            metrics.disable_memory_profile()
         return result, time.perf_counter() - t0, metrics
 
     timings = {}

@@ -66,11 +66,14 @@ def test_outofcore_internet_sweep(record_bench_json, tmp_path):
         metrics = MetricsRegistry()
         metrics.enable_memory_profile()
         t0 = time.perf_counter()
-        result = run_inference(
-            factory, start, until or end, InferenceConfig.extended(),
-            as2org=as2org, step_days=STEP_DAYS, jobs=jobs,
-            store_dir=store_dir if store else None, metrics=metrics,
-        )
+        try:
+            result = run_inference(
+                factory, start, until or end, InferenceConfig.extended(),
+                as2org=as2org, step_days=STEP_DAYS, jobs=jobs,
+                store_dir=store_dir if store else None, metrics=metrics,
+            )
+        finally:
+            metrics.disable_memory_profile()
         elapsed = time.perf_counter() - t0
         return result, elapsed, metrics
 

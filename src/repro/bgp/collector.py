@@ -13,7 +13,9 @@ from __future__ import annotations
 import datetime
 import json
 import pathlib
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Union
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.bgp.message import Announcement, RouteRecord
 from repro.bgp.propagation import PropagationModel
@@ -86,6 +88,19 @@ class Collector:
         return f"<Collector {self._name}: {len(self._monitors)} monitors>"
 
 
+def _popcount(mask: int) -> int:
+    """Set bits in ``mask`` (``int.bit_count`` needs Python 3.10)."""
+    return bin(mask).count("1")
+
+
+def _mask_of(monitors: Iterable[int], bits: Dict[int, int]) -> int:
+    """The bitmask of ``monitors``; ones without a bit are dropped."""
+    mask = 0
+    for monitor in monitors:
+        mask |= bits.get(monitor, 0)
+    return mask
+
+
 def _with_as_set_origin(as_path: ASPath) -> ASPath:
     """Rewrite the path's origin into a singleton AS_SET.
 
@@ -122,7 +137,9 @@ class CollectorSystem:
         # Both caches are sound because the collector set and the
         # propagation model are fixed for the system's lifetime.
         self._all_monitors: Optional[FrozenSet[int]] = None
-        self._visible_by_origin: Dict[int, FrozenSet[int]] = {}
+        self._visibility: Optional[
+            Tuple[Dict[int, int], Dict[int, int]]
+        ] = None
 
     @property
     def propagation(self) -> PropagationModel:
@@ -150,23 +167,23 @@ class CollectorSystem:
             self._all_monitors = monitors
         return self._all_monitors
 
-    def _visible_monitors(self, origin: int) -> FrozenSet[int]:
-        """Which monitors an unrestricted announcement from ``origin``
-        reaches — ``monitors & (receivers(origin) | {origin})``, cached
-        per origin because a day announces thousands of prefixes from
-        the same few hundred origins."""
-        visible = self._visible_by_origin.get(origin)
-        if visible is None:
-            propagation = self._propagation
-            monitors = self.all_monitors()
-            if origin in propagation.topology:
-                visible = (monitors & propagation.receivers(origin)) | (
-                    {origin} & monitors
-                )
-            else:
-                visible = frozenset()
-            self._visible_by_origin[origin] = visible
-        return visible
+    def _visibility_table(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """``(monitor -> bit, origin -> visible-monitor mask)``.
+
+        Each monitor owns one bit, in sorted monitor order; an
+        origin's mask holds the monitors an unrestricted announcement
+        from it reaches (``monitors & (receivers(origin) | {origin})``).
+        Built once for the whole topology by
+        :meth:`PropagationModel.visible_monitor_masks`, on first use.
+        """
+        if self._visibility is None:
+            bits = {
+                monitor: 1 << index
+                for index, monitor in enumerate(sorted(self.all_monitors()))
+            }
+            masks = self._propagation.visible_monitor_masks(bits)
+            self._visibility = (bits, masks)
+        return self._visibility
 
     # -- in-memory generation -------------------------------------------
 
@@ -197,19 +214,14 @@ class CollectorSystem:
         """
         from repro.netbase.asnum import OriginSet
 
-        propagation = self._propagation
-        monitors = self.all_monitors()
         origins: Dict[object, OriginSet] = {}
-        seen_monitors: Dict[object, set] = {}
+        seen_monitors: Dict[object, int] = {}
+        bits, masks = self._visibility_table()
         for announcement in announcements:
             origin = announcement.origin_asn
-            if origin in propagation.topology:
-                reachable = propagation.receivers(origin) | {origin}
-            else:
-                reachable = frozenset()
-            visible = monitors & reachable
+            visible = masks.get(origin, 0)
             if announcement.restricted_to_monitors is not None:
-                visible &= announcement.restricted_to_monitors
+                visible &= _mask_of(announcement.restricted_to_monitors, bits)
             if not visible:
                 continue
             origin_set = OriginSet(
@@ -220,9 +232,9 @@ class CollectorSystem:
             origins[prefix] = (
                 origin_set if existing is None else existing.merge(origin_set)
             )
-            seen_monitors.setdefault(prefix, set()).update(visible)
+            seen_monitors[prefix] = seen_monitors.get(prefix, 0) | visible
         return {
-            prefix: (origins[prefix], len(seen_monitors[prefix]))
+            prefix: (origins[prefix], _popcount(seen_monitors[prefix]))
             for prefix in origins
         }
 
@@ -232,22 +244,23 @@ class CollectorSystem:
 
         Same facts as :meth:`pair_counts_for_day` — per-prefix origin
         uniqueness and distinct monitor count — but with no
-        :class:`~repro.netbase.asnum.OriginSet` or per-pair set churn:
-        each prefix holds one mutable slot ``[origin, as_set, visible,
-        multi_origin]``, and the per-origin visible-monitor frozenset
-        is shared across every announcement from that origin.  Tests
-        assert row-level equivalence with the object path.
+        :class:`~repro.netbase.asnum.OriginSet` objects: each prefix
+        holds one mutable slot ``[origin, as_set, visible,
+        multi_origin]`` whose monitors are an int mask, so the union
+        across announcements is ``|``.  Tests assert row-level
+        equivalence with the object path.
         """
         from repro.bgp.rib import PairTable
 
-        # slot = [first origin, saw AS_SET, visible monitors (frozenset
-        # until a second distinct set arrives), saw another origin]
+        # slot = [first origin, saw AS_SET, visible-monitor mask, saw
+        # another origin]
         slots: Dict[int, list] = {}
+        bits, masks = self._visibility_table()
         for announcement in announcements:
             origin = announcement.origin_asn
-            visible = self._visible_monitors(origin)
+            visible = masks.get(origin, 0)
             if announcement.restricted_to_monitors is not None:
-                visible = visible & announcement.restricted_to_monitors
+                visible &= _mask_of(announcement.restricted_to_monitors, bits)
             if not visible:
                 continue
             prefix = announcement.prefix
@@ -262,17 +275,12 @@ class CollectorSystem:
                 slot[3] = True
             if announcement.as_set_origin:
                 slot[1] = True
-            monitors = slot[2]
-            if monitors is not visible:
-                if type(monitors) is frozenset:
-                    monitors = set(monitors)
-                    slot[2] = monitors
-                monitors.update(visible)
+            slot[2] |= visible
         aggregate = {}
         for key, slot in slots.items():
             unique = not (slot[1] or slot[3])
             aggregate[key] = (
-                slot[0] if unique else 0, unique, len(slot[2])
+                slot[0] if unique else 0, unique, _popcount(slot[2])
             )
         return PairTable.from_aggregate(aggregate)
 

@@ -7,18 +7,22 @@ origin *o* reaches AS *m* iff there is a path that goes uphill
 (customer→provider) zero or more steps, across at most one peering
 edge, then downhill (provider→customer) zero or more steps.
 
-The model exposes the two primitives everything downstream needs:
+The model exposes the primitives everything downstream needs:
 
 - :meth:`PropagationModel.receivers` — the set of ASes that receive a
-  route originated by *o* (cached per origin), and
+  route originated by *o* (cached per origin),
 - :meth:`PropagationModel.path` — one shortest valley-free AS path from
-  a receiver back to the origin (what the monitor's RIB would show).
+  a receiver back to the origin (what the monitor's RIB would show), and
+- :meth:`PropagationModel.visible_monitor_masks` — for every AS at
+  once, which monitors its routes reach, as an int bitmask.  This is
+  the only fact the visibility filter needs, so daily aggregation uses
+  it instead of one BFS per origin.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.bgp.topology import ASTopology
 from repro.errors import BgpError
@@ -133,6 +137,93 @@ class PropagationModel:
         seen = self.receivers(origin)
         return len(frozenset(monitors) & seen) / len(monitors)
 
+    def visible_monitor_masks(
+        self, monitor_bits: Mapping[int, int]
+    ) -> Dict[int, int]:
+        """``asn -> mask`` of the monitors that hold routes from ``asn``.
+
+        ``monitor_bits`` gives each monitor AS its bit.  The mask of
+        origin *o* equals the bits of ``monitors & (receivers(o) |
+        {o})``, for every AS of the topology in one pass over its
+        edges rather than one BFS per origin:
+
+        - ``down[a]`` — monitors in the customer cone of ``a``
+          (``a`` included): what a route sent downhill from ``a``
+          reaches;
+        - ``local[a]`` — ``down[a]`` plus ``down`` of every peer of
+          ``a``: what a route reaches from ``a`` once it stops
+          climbing;
+        - ``vis[o]`` — ``local[u]`` ORed over the provider closure of
+          ``o`` (``o`` included), since a valley-free route climbs
+          first and may stop at any AS on the way up.
+
+        Both closures run to a fixed point, so provider cycles (which
+        hand-built topologies allow) are handled; on a hierarchy the
+        customer-first order settles each in one sweep plus one
+        confirming sweep.
+        """
+        topology = self._topology
+        order = _customers_first(topology)
+        customers = {a: topology.customers_of(a) for a in order}
+        providers = {a: topology.providers_of(a) for a in order}
+
+        down = {a: monitor_bits.get(a, 0) for a in order}
+        changed = True
+        while changed:
+            changed = False
+            for asn in order:
+                mask = down[asn]
+                for customer in customers[asn]:
+                    mask |= down[customer]
+                if mask != down[asn]:
+                    down[asn] = mask
+                    changed = True
+
+        vis = {}
+        for asn in order:
+            mask = down[asn]
+            for peer in topology.peers_of(asn):
+                mask |= down[peer]
+            vis[asn] = mask
+        changed = True
+        while changed:
+            changed = False
+            for asn in reversed(order):
+                mask = vis[asn]
+                for provider in providers[asn]:
+                    mask |= vis[provider]
+                if mask != vis[asn]:
+                    vis[asn] = mask
+                    changed = True
+        return vis
+
     def clear_cache(self) -> None:
         """Drop memoized per-origin results (topology changed)."""
         self._cache.clear()
+
+
+def _customers_first(topology: ASTopology) -> List[int]:
+    """Every AS, each after its customers where the customer graph
+    allows it (DFS post-order; on a provider cycle some AS must come
+    first, and the fixed point in ``visible_monitor_masks`` makes up
+    for it)."""
+    order: List[int] = []
+    done = set()
+    for root in sorted(topology.asns):
+        if root in done:
+            continue
+        done.add(root)
+        stack = [(root, iter(topology.customers_of(root)))]
+        while stack:
+            asn, pending = stack[-1]
+            for customer in pending:
+                if customer not in done:
+                    done.add(customer)
+                    stack.append(
+                        (customer, iter(topology.customers_of(customer)))
+                    )
+                    break
+            else:
+                stack.pop()
+                order.append(asn)
+    return order

@@ -119,15 +119,9 @@ class RouteStream:
         per-monitor record materialization); archive-backed streams
         aggregate the stored records.
         """
-        if not self._metrics.enabled:
-            if self._source is not None:
-                return self._system.pair_counts_for_day(
-                    self._source(date)
-                )
-            return prefix_origin_pairs(self.records_on(date))
-        # Instrumented path: the aggregation appears as its own span,
-        # so traces show how much of each day went to reading routes
-        # versus running the inference filters.
+        # The aggregation appears as its own span, so traces show how
+        # much of each day went to reading routes versus running the
+        # inference filters (a no-op under the default registry).
         with self._metrics.span("stream.pairs_on"):
             if self._source is not None:
                 pairs = self._system.pair_counts_for_day(
@@ -150,12 +144,6 @@ class RouteStream:
         """
         from repro.bgp.rib import PairTable
 
-        if not self._metrics.enabled:
-            if self._source is not None:
-                return self._system.pair_table_for_day(self._source(date))
-            return PairTable.from_pairs(
-                prefix_origin_pairs(self.records_on(date))
-            )
         with self._metrics.span("stream.pairs_on"):
             if self._source is not None:
                 table = self._system.pair_table_for_day(self._source(date))

@@ -215,6 +215,19 @@ class MetricsRegistry:
             self._mem_profiler = MemoryProfiler()
             self._mem_profiler.start()
 
+    def disable_memory_profile(self) -> None:
+        """Stop recording peak-memory gauges; gauges already recorded
+        stay.
+
+        Stops :mod:`tracemalloc` if :meth:`enable_memory_profile`
+        started it, so a profiled run does not leave allocation
+        tracing on for the rest of the process and every process it
+        forks later.
+        """
+        if self._mem_profiler is not None:
+            self._mem_profiler.stop()
+            self._mem_profiler = None
+
     @property
     def memory_profiling(self) -> bool:
         return self._mem_profiler is not None

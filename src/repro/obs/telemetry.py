@@ -99,26 +99,31 @@ class HistogramStats:
     proportional to the number of *distinct magnitudes* observed, not
     the observation count; merge adds bucket counts element-wise, so
     it is associative and commutative with the empty histogram as
-    identity — the same algebra :class:`~repro.obs.metrics.TimerStats`
-    obeys, pinned down by ``tests/obs/test_telemetry_properties.py``.
+    identity — pinned down by ``tests/obs/test_telemetry_properties.py``.
+    The sum is kept in integer nanoseconds, so it is exact under any
+    merge order too (a running float sum is not associative).
     """
 
-    __slots__ = ("count", "total_seconds", "buckets")
+    __slots__ = ("count", "total_ns", "buckets")
 
     def __init__(self) -> None:
         self.count = 0
-        self.total_seconds = 0.0
+        self.total_ns = 0
         self.buckets: Dict[int, int] = {}
+
+    @property
+    def total_seconds(self) -> float:
+        return self.total_ns / 1e9
 
     def observe(self, seconds: float) -> None:
         index = bucket_index(seconds)
         self.count += 1
-        self.total_seconds += seconds
+        self.total_ns += round(seconds * 1e9)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def merge(self, other: "HistogramStats") -> "HistogramStats":
         self.count += other.count
-        self.total_seconds += other.total_seconds
+        self.total_ns += other.total_ns
         for index, count in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + count
         return self
@@ -149,6 +154,7 @@ class HistogramStats:
         payload = {
             "count": self.count,
             "total_seconds": self.total_seconds,
+            "total_ns": self.total_ns,
             "buckets": {
                 str(index): self.buckets[index]
                 for index in sorted(self.buckets)
@@ -162,7 +168,10 @@ class HistogramStats:
     def from_json(cls, payload: dict) -> "HistogramStats":
         stats = cls()
         stats.count = int(payload.get("count", 0))
-        stats.total_seconds = float(payload.get("total_seconds", 0.0))
+        total_ns = payload.get("total_ns")
+        if total_ns is None:  # written before the sum was exact
+            total_ns = round(float(payload.get("total_seconds", 0.0)) * 1e9)
+        stats.total_ns = int(total_ns)
         stats.buckets = {
             int(index): int(count)
             for index, count in (payload.get("buckets") or {}).items()
@@ -172,13 +181,13 @@ class HistogramStats:
     def __getstate__(self) -> dict:
         return {
             "count": self.count,
-            "total_seconds": self.total_seconds,
+            "total_ns": self.total_ns,
             "buckets": self.buckets,
         }
 
     def __setstate__(self, state: dict) -> None:
         self.count = state["count"]
-        self.total_seconds = state["total_seconds"]
+        self.total_ns = state["total_ns"]
         self.buckets = state["buckets"]
 
     def __len__(self) -> int:

@@ -71,6 +71,17 @@ class TestMemoryProfiler:
 
 
 class TestRegistryProfiling:
+    @pytest.fixture(autouse=True)
+    def _no_tracing_leak(self):
+        # Profiling starts tracemalloc process-wide; leaving it on
+        # would slow every test that runs after this class.
+        import tracemalloc
+
+        was_tracing = tracemalloc.is_tracing()
+        yield
+        if not was_tracing and tracemalloc.is_tracing():
+            tracemalloc.stop()
+
     def test_enable_sets_profile_gauges(self):
         registry = MetricsRegistry()
         registry.enable_memory_profile()
@@ -134,3 +145,66 @@ class TestRegistryProfiling:
             registry.gauge("profile.stage.peak_kb")
         )
         assert not clone.memory_profiling
+
+
+class TestDisableProfiling:
+    def test_disable_stops_tracing_and_keeps_gauges(self):
+        import tracemalloc
+
+        assert not tracemalloc.is_tracing()
+        registry = MetricsRegistry()
+        registry.enable_memory_profile()
+        assert tracemalloc.is_tracing()
+        with registry.span("stage"):
+            blob = _allocate_kb(64)
+            del blob
+        registry.disable_memory_profile()
+        assert not tracemalloc.is_tracing()
+        assert not registry.memory_profiling
+        assert registry.gauge("profile.stage.peak_kb") >= 64
+        with registry.span("later"):
+            pass
+        assert registry.gauge("profile.later.peak_kb") is None
+
+    def test_disable_leaves_foreign_tracing_on(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            registry = MetricsRegistry()
+            registry.enable_memory_profile()
+            registry.disable_memory_profile()
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+
+    def test_disable_without_enable_is_a_no_op(self):
+        import tracemalloc
+
+        MetricsRegistry().disable_memory_profile()
+        NULL.disable_memory_profile()
+        assert not tracemalloc.is_tracing()
+
+    def test_profiled_inference_leaves_no_tracing(self):
+        import datetime
+        import tracemalloc
+
+        from repro.delegation import (
+            InferenceConfig, WorldStreamFactory, run_inference,
+        )
+        from repro.simulation import World, small_scenario
+
+        scenario = small_scenario()
+        registry = MetricsRegistry()
+        registry.enable_memory_profile()
+        try:
+            run_inference(
+                WorldStreamFactory(scenario), scenario.bgp_start,
+                scenario.bgp_start + datetime.timedelta(days=3),
+                InferenceConfig.extended(),
+                as2org=World(scenario).as2org(), metrics=registry,
+            )
+        finally:
+            registry.disable_memory_profile()
+        assert registry.gauges()
+        assert not tracemalloc.is_tracing()
