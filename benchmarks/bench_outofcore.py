@@ -6,8 +6,8 @@ RAM, against a cold shard store, and against the warm store — with
 per-stage memory profiling on, and asserts
 
 - all three sweeps produce byte-identical daily delegations,
-- the warm store serves every day as a hit (the stream is never
-  rebuilt),
+- the warm store serves every day from its result shard (neither the
+  stream nor the kernel runs),
 - peak traced memory is *flat*: the warm mmap-fed sweep peaks no
   higher over the full window than over a third of it, and no higher
   than the in-RAM sweep (mapped pages are the kernel's problem, not
@@ -86,9 +86,11 @@ def test_outofcore_internet_sweep(record_bench_json, tmp_path):
     assert _daily_bytes(cold, tmp_path / "cold.jsonl") == expected
     assert _daily_bytes(warm, tmp_path / "warm.jsonl") == expected
 
-    # The warm store served the whole window without a stream build.
+    # The warm store served every day's result shard: no stream build
+    # and no kernel run.
     assert cold_metrics.counter("store.writes") == days
-    assert warm_metrics.counter("store.hits") == days
+    assert warm_metrics.counter("store.result_hits") == days
+    assert warm.runner_stats.days_computed == 0
     assert warm_metrics.counter("store.misses") == 0
     assert warm_metrics.counter("store.malformed") == 0
 
@@ -122,6 +124,7 @@ def test_outofcore_internet_sweep(record_bench_json, tmp_path):
             "bytes": sum(path.stat().st_size for path in shards),
             "cold_writes": cold_metrics.counter("store.writes"),
             "warm_hits": warm_metrics.counter("store.hits"),
+            "warm_result_hits": warm_metrics.counter("store.result_hits"),
             "warm_mapped_kb": warm_metrics.gauge("store.mapped_kb"),
         },
         "profile_peak_kb": {

@@ -65,8 +65,7 @@ class DailyDelegations:
         """
         from repro.netbase.prefixset import address_count
 
-        prefixes = {key[0] for key in self._by_date.get(date, ())}
-        return address_count(prefixes)
+        return address_count(key[0] for key in self._by_date.get(date, ()))
 
     def prefixes_on(self, date: datetime.date) -> Set[IPv4Prefix]:
         return {key[0] for key in self._by_date.get(date, ())}

@@ -52,17 +52,35 @@ class Transaction:
         return (self.date.year, (self.date.month - 1) // 3 + 1)
 
 
+def _order_key(transaction: Transaction) -> Tuple[datetime.date, str]:
+    return (transaction.date, transaction.region.value)
+
+
 class TransactionDataset:
-    """A queryable collection of anonymized transactions."""
+    """A queryable collection of anonymized transactions, kept in
+    ``(date, region)`` order; ties keep insertion order."""
 
     def __init__(self, transactions: Iterable[Transaction] = ()):
         self._transactions: List[Transaction] = sorted(
-            transactions, key=lambda t: (t.date, t.region.value)
+            transactions, key=_order_key
         )
 
     def add(self, transaction: Transaction) -> None:
-        self._transactions.append(transaction)
-        self._transactions.sort(key=lambda t: (t.date, t.region.value))
+        """Insert after every transaction that sorts at or before it.
+
+        A hand-written ``bisect_right``: ``bisect``'s ``key=`` needs
+        Python 3.10.
+        """
+        key = _order_key(transaction)
+        items = self._transactions
+        low, high = 0, len(items)
+        while low < high:
+            middle = (low + high) // 2
+            if key < _order_key(items[middle]):
+                high = middle
+            else:
+                low = middle + 1
+        items.insert(low, transaction)
 
     def __len__(self) -> int:
         return len(self._transactions)

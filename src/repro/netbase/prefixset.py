@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional
 
+from repro.netbase.lpm import _HOST_BITS
 from repro.netbase.prefix import IPv4Prefix
 from repro.netbase.trie import PrefixTrie
 
@@ -46,8 +47,29 @@ def aggregate(prefixes: Iterable[IPv4Prefix]) -> List[IPv4Prefix]:
 
 
 def address_count(prefixes: Iterable[IPv4Prefix]) -> int:
-    """Number of distinct addresses covered by ``prefixes``."""
-    return sum(p.num_addresses for p in aggregate(prefixes))
+    """Number of distinct addresses covered by ``prefixes``.
+
+    Equal to ``sum(p.num_addresses for p in aggregate(prefixes))``, as
+    one sweep over sorted packed ``(network << 6) | length`` keys (the
+    :func:`repro.netbase.lpm.pack` order).  CIDR blocks are nested or
+    disjoint and the sort puts every cover before what it covers, so a
+    block starting at or before the end of the last counted block lies
+    inside it; any other block is new space and is counted whole.
+
+    >>> address_count([IPv4Prefix.parse("10.0.0.0/24"),
+    ...                IPv4Prefix.parse("10.0.0.128/25"),
+    ...                IPv4Prefix.parse("10.0.1.0/24")])
+    512
+    """
+    host_bits = _HOST_BITS
+    total = 0
+    end = -1
+    for key in sorted({(p.network << 6) | p.length for p in prefixes}):
+        network = key >> 6
+        if network > end:
+            end = network | host_bits[key & 0x3F]
+            total += end - network + 1
+    return total
 
 
 def coverage_fraction(

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import datetime
 import pathlib
+from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Union
+from typing import Dict, FrozenSet, Iterable, List, Union
 
 from repro.errors import RpkiError
+from repro.netbase.lpm import nearest_strict_covers, pack
 from repro.netbase.prefix import IPv4Prefix
-from repro.netbase.trie import PrefixTrie
 from repro.rpki.roa import Roa
 
 
@@ -66,37 +67,36 @@ class RoaDatabase:
         AS.  Same-AS pairs are ROA maxLength engineering, not
         delegations.
         """
-        roas = self.snapshot(date)
-        index: PrefixTrie[List[int]] = PrefixTrie()
-        for roa in roas:
-            bucket = index.get(roa.prefix)
+        asns_by_key: Dict[int, List[int]] = {}
+        prefix_by_key: Dict[int, IPv4Prefix] = {}
+        for roa in self.snapshot(date):
+            key = pack(roa.prefix.network, roa.prefix.length)
+            bucket = asns_by_key.get(key)
             if bucket is None:
-                bucket = []
-                index.insert(roa.prefix, bucket)
+                bucket = asns_by_key[key] = []
+                prefix_by_key[key] = roa.prefix
             bucket.append(roa.asn)
-        delegations: List[RpkiDelegation] = []
-        seen = set()
-        for roa in roas:
-            best_asns: Optional[List[int]] = None
-            for covering_prefix, asns in index.covering(roa.prefix):
-                if covering_prefix.length < roa.prefix.length:
-                    best_asns = asns  # most specific strict cover wins
-            if best_asns is None:
+        keys = array("Q", sorted(asns_by_key))
+        found = set()
+        # The most-specific strict cover wins, even when all its ASNs
+        # equal the delegatee's (no fallback to a shorter cover).
+        for key, cover in zip(keys, nearest_strict_covers(keys)):
+            if cover < 0:
                 continue
-            for delegator in best_asns:
-                if delegator == roa.asn:
-                    continue
-                delegation = RpkiDelegation(
-                    prefix=roa.prefix,
-                    delegator_asn=delegator,
-                    delegatee_asn=roa.asn,
-                )
-                if delegation.key() in seen:
-                    continue
-                seen.add(delegation.key())
-                delegations.append(delegation)
-        delegations.sort(key=lambda d: d.key())
-        return delegations
+            delegators = asns_by_key[keys[cover]]
+            for delegatee in asns_by_key[key]:
+                for delegator in delegators:
+                    if delegator != delegatee:
+                        found.add((key, delegator, delegatee))
+        # Packed-key order is IPv4Prefix order, so this is key() order.
+        return [
+            RpkiDelegation(
+                prefix=prefix_by_key[key],
+                delegator_asn=delegator,
+                delegatee_asn=delegatee,
+            )
+            for key, delegator, delegatee in sorted(found)
+        ]
 
     def delegation_timeline(
         self,

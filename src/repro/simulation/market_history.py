@@ -197,7 +197,7 @@ def generate_priced_transactions(
     """Generate the broker pricing dataset (Fig. 1's input)."""
     brokers = default_brokers()
     broker_names = [b.name for b in brokers]
-    dataset = TransactionDataset()
+    transactions: List[Transaction] = []
     for first, nxt in quarters(config.pricing_start, config.market_end):
         span = max(1, (nxt - first).days)
         for region_value, (low, high) in config.priced_per_quarter.items():
@@ -206,7 +206,7 @@ def generate_priced_transactions(
             for _ in range(count):
                 date = first + datetime.timedelta(days=rng.randrange(span))
                 length = _transfer_length(rng)
-                dataset.add(
+                transactions.append(
                     Transaction(
                         date=date,
                         region=rir,
@@ -225,7 +225,7 @@ def generate_priced_transactions(
             days=rng.randrange(window_days)
         )
         length = _transfer_length(rng)
-        dataset.add(
+        transactions.append(
             Transaction(
                 date=date,
                 region=rir,
@@ -236,4 +236,5 @@ def generate_priced_transactions(
                 broker=rng.choice(broker_names),
             )
         )
-    return dataset
+    # One stable sort: the same order as sorting after every append.
+    return TransactionDataset(transactions)

@@ -1,6 +1,7 @@
 """Unit tests for the anonymized transaction dataset."""
 
 import datetime
+import random
 
 import pytest
 
@@ -86,6 +87,25 @@ class TestDataset:
     def test_add_keeps_sorted(self, dataset):
         dataset.add(t(D(2019, 1, 1)))
         assert next(iter(dataset)).date == D(2019, 1, 1)
+
+    def test_add_matches_constructor_order(self):
+        # Ties on (date, region) are frequent here; ``broker`` tells the
+        # tied transactions apart, so the check sees their order.
+        rng = random.Random(7)
+        regions = [RIR.ARIN, RIR.RIPE, RIR.APNIC]
+        sequence = [
+            t(
+                D(2020, 1, 1) + datetime.timedelta(days=rng.randrange(4)),
+                region=rng.choice(regions),
+                broker=f"broker-{i}",
+            )
+            for i in range(200)
+        ]
+        grown = TransactionDataset()
+        for transaction in sequence:
+            grown.add(transaction)
+        assert list(grown) == list(TransactionDataset(sequence))
+        assert [x.broker for x in grown] != [x.broker for x in sequence]
 
     def test_csv_round_trip(self, dataset, tmp_path):
         path = dataset.write_csv(tmp_path / "txns.csv")

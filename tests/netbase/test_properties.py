@@ -19,6 +19,42 @@ def prefixes(draw):
 prefix_lists = st.lists(prefixes(), max_size=60)
 
 
+@st.composite
+def clustered_prefix_lists(draw):
+    """Lists whose blocks overlap on purpose: each new block is a fresh
+    random one, a duplicate, a block nested in an earlier one, a cover
+    of an earlier one, an earlier one's sibling, or a /0 or /32."""
+    blocks = []
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        kind = draw(st.sampled_from(
+            ["fresh", "duplicate", "nested", "cover", "sibling", "edge"]
+        ))
+        if kind == "fresh" or not blocks:
+            blocks.append(draw(prefixes()))
+            continue
+        member = draw(st.sampled_from(blocks))
+        if kind == "duplicate":
+            blocks.append(member)
+        elif kind == "nested":
+            offset = draw(st.integers(0, member.num_addresses - 1))
+            length = draw(st.integers(member.length, 32))
+            blocks.append(
+                IPv4Prefix(member.network + offset, length, strict=False)
+            )
+        elif kind == "cover":
+            blocks.append(member.supernet(
+                draw(st.integers(0, member.length))
+            ))
+        elif kind == "sibling":
+            if member.length > 0:
+                blocks.append(member.sibling())
+        else:
+            blocks.append(IPv4Prefix(
+                draw(addresses), draw(st.sampled_from([0, 32])), strict=False
+            ))
+    return blocks
+
+
 class TestPrefixProperties:
     @given(addresses)
     def test_address_round_trip(self, value):
@@ -109,6 +145,16 @@ class TestAggregateProperties:
         assert address_count(blocks) == sum(
             b.num_addresses for b in aggregate(blocks)
         )
+
+    @settings(max_examples=300)
+    @given(clustered_prefix_lists())
+    def test_address_count_sweep_matches_aggregate_oracle(self, blocks):
+        # The aggregate-based sum is what address_count computed before
+        # the packed-key sweep; it stays here as the oracle.
+        oracle = sum(b.num_addresses for b in aggregate(blocks))
+        assert address_count(blocks) == oracle
+        assert address_count(iter(blocks)) == oracle
+        assert address_count(reversed(blocks)) == oracle
 
 
 class TestTrieProperties:
