@@ -5,10 +5,10 @@ sub-window and quantifies what it removes: the same-organization
 filter cuts the delegation count; the consistency rule cuts the daily
 variance.  (DESIGN.md §6, design-choice 3.)
 
-The four configurations share one runner cache: the pairs differing
+The four configurations share one shard store: the pairs differing
 only in the consistency rule (v) — which runs after the fan-in — hit
-the same per-day entries, so the sweep computes each (same-org, day)
-combination exactly once.
+the same per-day result shards, so the sweep computes each (same-org,
+day) combination exactly once.
 """
 
 import datetime
@@ -28,13 +28,13 @@ from repro.delegation import (
 WINDOW_DAYS = 200
 
 
-def _run(world, config, cache_dir):
+def _run(world, config, store_dir):
     start = world.config.bgp_start
     end = start + datetime.timedelta(days=WINDOW_DAYS)
     as2org = world.as2org() if config.same_org_filter else None
     result = run_inference(
         WorldStreamFactory(world.config), start, end, config,
-        as2org=as2org, jobs=1, cache_dir=cache_dir,
+        as2org=as2org, jobs=1, store_dir=store_dir,
     )
     counts = [c for _d, c in result.counts_series()]
     deltas = [abs(b - a) for a, b in zip(counts, counts[1:])]
@@ -45,7 +45,7 @@ def _run(world, config, cache_dir):
 
 
 def test_ablation_extensions(benchmark, world, record_result, tmp_path):
-    cache_dir = tmp_path / "cache"
+    store_dir = tmp_path / "store"
     configs = {
         "baseline (i-iii)": InferenceConfig.baseline(),
         "+ same-org (iv)": InferenceConfig(consistency_rule=None),
@@ -58,7 +58,7 @@ def test_ablation_extensions(benchmark, world, record_result, tmp_path):
 
     def run_all():
         return {
-            name: _run(world, cfg, cache_dir)
+            name: _run(world, cfg, store_dir)
             for name, cfg in configs.items()
         }
 
@@ -70,7 +70,7 @@ def test_ablation_extensions(benchmark, world, record_result, tmp_path):
     ext_mean, ext_rough, ext_stats = results["extended (iv+v)"]
 
     # Config pairs differing only in rule (v) share per-day entries:
-    # the later run of each pair must be served from cache entirely.
+    # the later run of each pair must be served from the store entirely.
     assert base_stats.days_from_cache == 0   # first of the (iv)=off pair
     assert cons_stats.days_computed == 0     # reuses the baseline days
     assert orgf_stats.days_from_cache == 0   # first of the (iv)=on pair

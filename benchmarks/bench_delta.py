@@ -1,4 +1,4 @@
-"""Multi-day sweep benchmark: full vs. v2 cache vs. incremental.
+"""Multi-day sweep benchmark: full vs. warm store vs. incremental.
 
 The question the delta subsystem exists to answer: once a sweep has
 run once, what is the cheapest way to run it again (and to extend it
@@ -6,14 +6,15 @@ by a few days)?  Four contenders over the full ≥30-day small-scenario
 window:
 
 - ``full_cold`` — the columnar kernel, every day from the stream,
-- ``cache_warm`` — the per-day v2 result cache, fully primed (the
-  previous fastest re-run path: one file open + key hash per day),
+- ``store_warm`` — the shard store with every day's result shard
+  primed (the full sweep's fastest re-run path: one map + key hash
+  per day, no kernel),
 - ``incremental_cold`` — the delta sweep, journaled, from nothing,
 - ``incremental_warm`` — a pure journal replay (parse + row fold per
   day; no stream, no classification, no cover pass).
 
 All four must be byte-identical; the acceptance bar is
-``incremental_warm`` strictly beating ``cache_warm``.  Timings land
+``incremental_warm`` strictly beating ``store_warm``.  Timings land
 in ``BENCH_delta.json``.
 """
 
@@ -64,12 +65,12 @@ def test_bench_delta_sweep(record_bench_json, tmp_path):
         timings[label] = time.perf_counter() - t0
         return result
 
-    cache_dir = tmp_path / "cache"
+    store_dir = tmp_path / "store"
     journal_dir = tmp_path / "journal"
 
     full_cold = run("full_cold")
-    run("cache_cold", cache_dir=cache_dir)
-    cache_warm = run("cache_warm", cache_dir=cache_dir)
+    run("store_cold", store_dir=store_dir)
+    store_warm = run("store_warm", store_dir=store_dir)
     incremental_cold = run(
         "incremental_cold", incremental=True, journal_dir=journal_dir
     )
@@ -80,7 +81,7 @@ def test_bench_delta_sweep(record_bench_json, tmp_path):
     # Byte-identity across every path, counters in exact agreement.
     reference = _daily_bytes(full_cold, tmp_path / "full.jsonl")
     for label, result in [
-        ("cache_warm", cache_warm),
+        ("store_warm", store_warm),
         ("incremental_cold", incremental_cold),
         ("incremental_warm", incremental_warm),
     ]:
@@ -88,16 +89,16 @@ def test_bench_delta_sweep(record_bench_json, tmp_path):
             result, tmp_path / f"{label}.jsonl"
         ) == reference, label
         assert _counters(result) == _counters(full_cold), label
-    assert cache_warm.runner_stats.days_computed == 0
+    assert store_warm.runner_stats.days_computed == 0
     assert incremental_warm.runner_stats.days_computed == 0
     assert incremental_warm.runner_stats.days_replayed == days
 
-    # The acceptance bar: a warm journal replay beats the warm v2
-    # cache (it skips per-day file opens, key hashing and payload
-    # decode in favour of one sequential journal read).
-    assert timings["incremental_warm"] < timings["cache_warm"], (
+    # The acceptance bar: a warm journal replay beats the warm store
+    # (it skips per-day maps, key hashing and payload decode in favour
+    # of one sequential journal read).
+    assert timings["incremental_warm"] < timings["store_warm"], (
         f"warm replay {timings['incremental_warm']:.4f}s not faster "
-        f"than warm v2 cache {timings['cache_warm']:.4f}s"
+        f"than warm store {timings['store_warm']:.4f}s"
     )
 
     record_bench_json("delta", {
@@ -117,8 +118,8 @@ def test_bench_delta_sweep(record_bench_json, tmp_path):
             key: round(value, 4) for key, value in timings.items()
         },
         "speedups": {
-            "incremental_warm_vs_cache_warm": round(
-                timings["cache_warm"] / timings["incremental_warm"], 2
+            "incremental_warm_vs_store_warm": round(
+                timings["store_warm"] / timings["incremental_warm"], 2
             ),
             "incremental_warm_vs_full_cold": round(
                 timings["full_cold"] / timings["incremental_warm"], 2

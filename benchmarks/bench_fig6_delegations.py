@@ -7,12 +7,13 @@ the baseline's day-to-day variance; the extended algorithm yields a
 in delegated addresses; the /20 share falls ~7 %→~3 % while the /24
 share rises ~66 %→~72 %.
 
-The run also exercises the columnar-vs-object kernel differential
-(byte-identical output, >=3x sequential speedup) and the parallel,
-cached runner end to end: sequential vs. fanned-out wall-clock,
-byte-identical output, a warm-cache re-run that must clearly beat the
-cold one, and an instrumented warm re-run whose absolute overhead
-must stay negligible next to the cold compute cost.
+The run also exercises the columnar kernel against the trie reference
+kernel kept in ``tests/delegation/reference_kernel.py`` (byte-identical
+output, >=3x sequential speedup) and the parallel, store-backed runner
+end to end: sequential vs. fanned-out wall-clock, byte-identical
+output, a warm re-run served from the store's result shards that must
+clearly beat the cold one, and an instrumented warm re-run whose
+absolute overhead must stay negligible next to the cold compute cost.
 """
 
 import os
@@ -28,6 +29,7 @@ from repro.delegation import (
     write_daily_delegations,
 )
 from repro.obs import MetricsRegistry, TracingRegistry, load_trace
+from tests.delegation.reference_kernel import ReferenceInference
 
 
 def _series_stats(result):
@@ -53,16 +55,16 @@ def test_fig6_delegations(
     config = world.config
     as2org = world.as2org()
     factory = WorldStreamFactory(config)
-    cache_dir = tmp_path / "cache"
+    store_dir = tmp_path / "store"
     jobs = min(4, os.cpu_count() or 1)
     timings = {}
 
     def run_all():
-        # The object/trie reference kernel is the "before" of the
-        # columnar fast path — timed first, on a cold interpreter.
+        # The trie reference kernel is the "before" of the columnar
+        # fast path — timed first, on a cold interpreter.
         t0 = time.perf_counter()
-        reference = DelegationInference(
-            InferenceConfig.extended(), as2org, kernel="object"
+        reference = ReferenceInference(
+            InferenceConfig.extended(), as2org
         ).infer_range(world.stream(), config.bgp_start, config.bgp_end)
         timings["sequential_object"] = time.perf_counter() - t0
 
@@ -76,7 +78,7 @@ def test_fig6_delegations(
         ext_result = run_inference(
             factory, config.bgp_start, config.bgp_end,
             InferenceConfig.extended(), as2org=as2org,
-            jobs=jobs, cache_dir=cache_dir,
+            jobs=jobs, store_dir=store_dir,
         )
         timings["parallel_cold"] = time.perf_counter() - t0
 
@@ -88,12 +90,12 @@ def test_fig6_delegations(
             result = run_inference(
                 factory, config.bgp_start, config.bgp_end,
                 InferenceConfig.extended(), as2org=as2org,
-                jobs=jobs, cache_dir=cache_dir, **kwargs,
+                jobs=jobs, store_dir=store_dir, **kwargs,
             )
             return result, time.perf_counter() - t0
 
         warm, timings["warm_cache"] = warm_run()
-        # Instrumentation overhead on the warm-cache path, best of 3
+        # Instrumentation overhead on the warm-store path, best of 3
         # each so a single scheduler hiccup cannot decide the verdict.
         plain_times, metered_times = [], []
         for _ in range(3):
@@ -116,7 +118,7 @@ def test_fig6_delegations(
 
         base_result = run_inference(
             factory, config.bgp_start, config.bgp_end,
-            InferenceConfig.baseline(), jobs=jobs, cache_dir=cache_dir,
+            InferenceConfig.baseline(), jobs=jobs, store_dir=store_dir,
         )
         return (reference, sequential, ext_result, warm, instrumented,
                 traced, base_result)
@@ -125,7 +127,7 @@ def test_fig6_delegations(
      base_result) = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     # The columnar kernel is a pure perf change: byte-identical to the
-    # object reference, with every attrition counter in agreement ...
+    # trie reference, with every attrition counter in agreement ...
     seq_bytes = _daily_bytes(sequential, tmp_path / "seq.jsonl")
     assert _daily_bytes(reference, tmp_path / "ref.jsonl") == seq_bytes
     assert (
@@ -152,7 +154,7 @@ def test_fig6_delegations(
     # Instrumented runs produce the identical result ...
     assert _daily_bytes(instrumented, tmp_path / "obs.jsonl") == seq_bytes
     # ... at negligible absolute overhead.  (Measured against the
-    # cold compute cost: the binary v2 cache shrank the warm path so
+    # cold compute cost: mapped result shards shrank the warm path so
     # far that the registry's fixed per-day cost — unchanged in
     # seconds — is no longer a meaningful *fraction* of it.)
     overhead = timings["warm_metered"] - timings["warm_plain"]
@@ -167,12 +169,13 @@ def test_fig6_delegations(
         e for e in exported["traceEvents"] if e.get("ph") == "X"
     ]) == timings["trace_events"]
 
-    # The second run is a pure cache read ...
+    # The second run is a pure result-shard read ...
     assert warm.runner_stats.days_computed == 0
     assert warm.runner_stats.cache_hit_rate == 1.0
     # ... and clearly faster than computing from scratch.  (The old
     # 10x floor predates the columnar kernel — cold compute shrank
-    # ~4x, so the cache's headroom over it is structurally smaller.)
+    # ~4x, so the warm path's headroom over it is structurally
+    # smaller.)
     assert timings["warm_cache"] * 2 <= timings["parallel_cold"]
     if (os.cpu_count() or 1) >= 4:
         # With real cores available the fan-out must at least halve the
@@ -221,14 +224,14 @@ def test_fig6_delegations(
                  f"{dist_first.get(24, 0):.1%} -> {dist_last.get(24, 0):.1%}"],
                 ["/20 share", "7% -> 3%",
                  f"{dist_first.get(20, 0):.1%} -> {dist_last.get(20, 0):.1%}"],
-                ["sequential, object kernel", "(before)",
+                ["sequential, trie reference kernel", "(before)",
                  f"{timings['sequential_object']:.2f}s"],
                 ["sequential, columnar kernel", ">=3x faster",
                  f"{timings['sequential']:.2f}s "
                  f"({kernel_speedup:.1f}x)"],
                 [f"runner cold, jobs={jobs}", "(after)",
                  f"{timings['parallel_cold']:.2f}s"],
-                ["runner warm cache", ">=2x faster than cold",
+                ["runner warm store", ">=2x faster than cold",
                  f"{timings['warm_cache']:.2f}s "
                  f"({timings['parallel_cold'] / timings['warm_cache']:.0f}x)"],
                 ["instrumentation overhead (warm)", "<5% of cold",

@@ -1,9 +1,11 @@
 """CI smoke benchmark: the kernel differential at reduced scale.
 
-Runs the full small-scenario BGP window (two months) through both
-per-day kernels, sequentially and through the parallel runner, and
-asserts the columnar fast path is byte-identical to the object/trie
-reference — outputs and attrition counters alike.  The incremental
+Runs the full small-scenario BGP window (two months) through the
+columnar kernel, sequentially and through the parallel runner, and
+through the trie reference kernel kept in
+``tests/delegation/reference_kernel.py``, and asserts the columnar
+fast path is byte-identical to the reference — outputs and attrition
+counters alike.  The incremental
 delta sweep rides along (cold journaled run + warm journal replay),
 held to the same byte-identity bar.  Wall-clocks land in
 ``BENCH_smoke_kernel.json`` so CI can archive the trend without
@@ -28,6 +30,7 @@ from repro.delegation import (
 from repro.netbase.lpm import SortedPrefixMap, pack
 from repro.netbase.prefix import IPv4Prefix
 from repro.simulation import World, small_scenario
+from tests.delegation.reference_kernel import ReferenceInference
 
 
 def _lpm_fixture(entries, queries, seed=40):
@@ -94,11 +97,14 @@ def test_smoke_kernel_differential(record_bench_json, tmp_path):
     timings = {}
 
     sequential = {}
-    for kernel in ("object", "columnar"):
+    for kernel, inference in [
+        ("object", ReferenceInference(InferenceConfig.extended(), as2org)),
+        ("columnar", DelegationInference(InferenceConfig.extended(), as2org)),
+    ]:
         t0 = time.perf_counter()
-        sequential[kernel] = DelegationInference(
-            InferenceConfig.extended(), as2org, kernel=kernel
-        ).infer_range(world.stream(), start, end)
+        sequential[kernel] = inference.infer_range(
+            world.stream(), start, end
+        )
         timings[f"sequential_{kernel}"] = time.perf_counter() - t0
 
     # Byte-identical sequential outputs, counters in exact agreement.
@@ -111,19 +117,18 @@ def test_smoke_kernel_differential(record_bench_json, tmp_path):
     assert _counters(sequential["columnar"]) == \
         _counters(sequential["object"])
 
-    # Same through the parallel runner, both kernels.
+    # Same through the parallel runner.
     factory = WorldStreamFactory(scenario)
-    for kernel in ("object", "columnar"):
-        t0 = time.perf_counter()
-        parallel = run_inference(
-            factory, start, end, InferenceConfig.extended(),
-            as2org=as2org, jobs=2, kernel=kernel,
-        )
-        timings[f"runner_jobs2_{kernel}"] = time.perf_counter() - t0
-        assert _daily_bytes(
-            parallel, tmp_path / f"runner-{kernel}.jsonl"
-        ) == object_bytes
-        assert _counters(parallel) == _counters(sequential["object"])
+    t0 = time.perf_counter()
+    parallel = run_inference(
+        factory, start, end, InferenceConfig.extended(),
+        as2org=as2org, jobs=2,
+    )
+    timings["runner_jobs2_columnar"] = time.perf_counter() - t0
+    assert _daily_bytes(
+        parallel, tmp_path / "runner-columnar.jsonl"
+    ) == object_bytes
+    assert _counters(parallel) == _counters(sequential["object"])
 
     # And the incremental delta sweep: a cold journaled run, then a
     # pure warm journal replay — both byte-identical, the replay

@@ -286,30 +286,6 @@ class PairTable:
                 monitor_counts.extend(table.monitor_counts)
         return cls(keys, origins, flags, monitor_counts)
 
-    def to_pairs(self) -> Dict[IPv4Prefix, tuple]:
-        """Inverse of :meth:`from_pairs`, for the object kernel.
-
-        Non-unique pairs aggregate away their member detail, so they
-        come back as a placeholder non-unique :class:`~repro.netbase.
-        asnum.OriginSet` — exactly the facts (uniqueness verdict, sole
-        origin, monitor count) the object-path filters consume, which
-        is why a store-backed object-kernel run stays byte-identical
-        to one fed from live announcement records.
-        """
-        from repro.netbase.asnum import OriginSet
-
-        pairs: Dict[IPv4Prefix, tuple] = {}
-        for index, key in enumerate(self.keys):
-            network, length = unpack(key)
-            if self.flags[index] & UNIQUE_ORIGIN:
-                origin_set = OriginSet((self.origins[index],))
-            else:
-                origin_set = OriginSet((0,), from_as_set=True)
-            pairs[IPv4Prefix(network, length)] = (
-                origin_set, self.monitor_counts[index]
-            )
-        return pairs
-
     def column_at(self, index: int) -> Tuple[int, int, int, int]:
         """One entry as ``(key, origin, flags, monitors)`` — the unit
         day-over-day deltas (:mod:`repro.delegation.delta`) move."""

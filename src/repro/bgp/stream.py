@@ -134,13 +134,12 @@ class RouteStream:
 
     def pair_table_on(self, date: datetime.date):
         """One day's pairs as a columnar :class:`~repro.bgp.rib.
-        PairTable` — the input of the ``columnar`` inference kernel.
+        PairTable` — the input of the per-day inference kernel.
 
         Source-backed streams aggregate announcements straight into
         packed arrays (:meth:`CollectorSystem.pair_table_for_day`);
         archive-backed streams convert the record-level aggregation.
-        Spans/counters use the same names as :meth:`pairs_on`, so
-        traces line up across kernels.
+        Spans/counters use the same names as :meth:`pairs_on`.
         """
         from repro.bgp.rib import PairTable
 
@@ -153,21 +152,6 @@ class RouteStream:
                 )
         self._metrics.inc("stream.pairs_aggregated", len(table))
         return table
-
-    def pairs_for_days(
-        self, dates: Iterable[datetime.date]
-    ) -> Iterator[
-        Tuple[datetime.date, Dict[IPv4Prefix, Tuple[OriginSet, int]]]
-    ]:
-        """Yield ``(date, pairs)`` for a batch of days.
-
-        The unit of work a :mod:`repro.delegation.runner` worker
-        executes for its shard: one stream (and its lazily built
-        backing world or archive readers) is reused across the whole
-        batch instead of being re-opened per day.
-        """
-        for date in dates:
-            yield date, self.pairs_on(date)
 
 
 def prefix_origin_pairs(

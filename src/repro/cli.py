@@ -102,17 +102,6 @@ def _check_runner_flags(args: argparse.Namespace) -> None:
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         raise ReproError(f"--jobs must be at least 1 (got {jobs})")
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None:
-        path = pathlib.Path(cache_dir)
-        try:
-            path.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ReproError(
-                f"--cache-dir: cannot create {path}: {exc}"
-            ) from exc
-        if not os.access(path, os.W_OK):
-            raise ReproError(f"--cache-dir: {path} is not writable")
     journal = getattr(args, "journal", None)
     if journal is not None:
         if not getattr(args, "incremental", False):
@@ -142,10 +131,6 @@ def _check_runner_flags(args: argparse.Namespace) -> None:
         if day_shards < 1:
             raise ReproError(
                 f"--day-shards must be at least 1 (got {day_shards})"
-            )
-        if day_shards > 1 and getattr(args, "kernel", None) == "object":
-            raise ReproError(
-                "--day-shards requires the columnar kernel"
             )
         if day_shards > 1 and getattr(args, "incremental", False):
             raise ReproError(
@@ -303,7 +288,6 @@ def _write_infer_manifest(
     manifest.cache = {"hits": hits, "misses": misses}
     manifest.extra["scale"] = args.scale
     manifest.extra["seed"] = args.seed
-    manifest.extra["kernel"] = getattr(args, "kernel", "columnar")
     if incremental:
         manifest.extra["incremental"] = {
             "days_replayed": replayed,
@@ -424,9 +408,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         as2org=as2org,
         step_days=args.step_days,
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
         metrics=metrics,
-        kernel=args.kernel,
         incremental=args.incremental,
         journal_dir=args.journal,
         store_dir=args.store,
@@ -600,16 +582,16 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         extended = run_inference(
             factory, world.config.bgp_start, world.config.bgp_end,
             InferenceConfig.extended(), as2org=world.as2org(),
-            jobs=args.jobs, cache_dir=args.cache_dir, metrics=metrics,
-            kernel=args.kernel, incremental=args.incremental,
+            jobs=args.jobs, metrics=metrics,
+            incremental=args.incremental,
             journal_dir=args.journal, store_dir=args.store,
             day_shards=args.day_shards,
         )
         baseline = run_inference(
             factory, world.config.bgp_start, world.config.bgp_end,
             InferenceConfig.baseline(),
-            jobs=args.jobs, cache_dir=args.cache_dir, metrics=metrics,
-            kernel=args.kernel, incremental=args.incremental,
+            jobs=args.jobs, metrics=metrics,
+            incremental=args.incremental,
             journal_dir=args.journal, store_dir=args.store,
             day_shards=args.day_shards,
         )
@@ -645,7 +627,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         manifest.cache = {"hits": hits, "misses": misses}
         manifest.extra["scale"] = args.scale
         manifest.extra["seed"] = args.seed
-        manifest.extra["kernel"] = args.kernel
         manifest.extra["files_written"] = written
         manifest.write(args.metrics_out)
     _write_trace(args, metrics)
@@ -711,8 +692,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             include_inference=not args.no_infer,
             step_days=args.step_days,
             jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            kernel=args.kernel,
             incremental=args.incremental,
             journal_dir=args.journal,
             store_dir=args.store,
@@ -851,17 +830,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="inference worker processes (default: one per CPU core)",
     )
     parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache per-day inference results under DIR; re-runs with "
-             "an unchanged configuration become near-instant",
-    )
-    parser.add_argument(
-        "--kernel", choices=("columnar", "object"), default="columnar",
-        help="per-day inference implementation: 'columnar' packed "
-             "arrays (fast, default) or the 'object' trie reference "
-             "path; both produce byte-identical results",
-    )
-    parser.add_argument(
         "--incremental", action="store_true",
         help="day-over-day delta inference: seed from the first day, "
              "apply per-day deltas instead of re-running the full "
@@ -875,16 +843,16 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store", default=None, metavar="DIR",
-        help="keep per-day pair tables as memory-mapped shard files "
-             "under DIR (the out-of-core data plane); warm days are "
-             "zero-copy maps shared by every config, kernel, and "
-             "worker process",
+        help="keep per-day pair tables and inference results as "
+             "memory-mapped shard files under DIR; re-runs with an "
+             "unchanged configuration map every day's result back, "
+             "and other configs reuse the pair tables",
     )
     parser.add_argument(
         "--day-shards", type=int, default=1, metavar="K",
         help="split each computed day into K per-/8 sub-tasks so one "
-             "heavy day saturates the worker pool (columnar kernel "
-             "only; output is byte-identical for any K)",
+             "heavy day saturates the worker pool (output is "
+             "byte-identical for any K)",
     )
     _add_obs_arguments(parser)
 

@@ -3,14 +3,14 @@
 - :mod:`~repro.delegation.model` — delegation record types,
 - :mod:`~repro.delegation.inference` — the Krenc–Feldmann base
   algorithm plus the paper's extensions (same-organization filter and
-  consistency-rule gap filling), all independently toggleable, with
-  two interchangeable per-day kernels (``columnar`` packed arrays and
-  the ``object`` trie reference),
+  consistency-rule gap filling), all independently toggleable, over
+  one columnar per-day kernel (packed arrays, sorted-array covers),
 - :mod:`~repro.delegation.consistency` — the "(M, N)" consistency-rule
   family, gap filling, and fail-rate evaluation,
-- :mod:`~repro.delegation.runner` — parallel day fan-out with an
-  on-disk, content-addressed result cache and an ``--incremental``
-  mode that replays / extends a day-over-day delta journal,
+- :mod:`~repro.delegation.runner` — parallel day fan-out with a
+  zero-copy shared-memory fan-in, content-addressed result shards in
+  the ``--store`` shard store, and an ``--incremental`` mode that
+  replays / extends a day-over-day delta journal,
 - :mod:`~repro.delegation.delta` — day-over-day :class:`PairTable`
   deltas, the incremental filter state machine, and the NRTM-style
   hash-chained delta journal,
@@ -47,7 +47,6 @@ from repro.delegation.io import (
     write_daily_delegations,
 )
 from repro.delegation.inference import (
-    KERNELS,
     DelegationInference,
     InferenceConfig,
     InferenceResult,
@@ -81,7 +80,6 @@ __all__ = [
     "FusionReport",
     "InferenceConfig",
     "InferenceResult",
-    "KERNELS",
     "Source",
     "fuse_delegations",
     "RdapDelegation",

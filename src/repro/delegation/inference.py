@@ -41,15 +41,9 @@ from repro.errors import ReproError
 from repro.netbase.bogons import BOGON_PREFIXES
 from repro.netbase.lpm import _HOST_BITS, nearest_strict_covers
 from repro.netbase.prefix import IPv4Prefix
-from repro.netbase.trie import PrefixTrie
 from repro.obs.metrics import NULL, MetricsRegistry
 
 logger = logging.getLogger(__name__)
-
-#: The per-day kernels: ``columnar`` (packed-array fast path, the
-#: default) and ``object`` (the original trie/dict reference path).
-#: Both produce byte-identical results; differential tests enforce it.
-KERNELS = ("columnar", "object")
 
 #: The bogon list as sorted, disjoint ``(first, last)`` address
 #: intervals — the batch bogon filter's two-pointer partner.  Overlap
@@ -179,20 +173,13 @@ class DelegationInference:
         self,
         config: Optional[InferenceConfig] = None,
         as2org: Optional[As2OrgDataset] = None,
-        kernel: str = "columnar",
     ):
         self._config = config or InferenceConfig()
         if self._config.same_org_filter and as2org is None:
             raise ReproError(
                 "same_org_filter requires an as2org dataset"
             )
-        if kernel not in KERNELS:
-            raise ReproError(
-                f"unknown inference kernel {kernel!r} "
-                f"(choose from {', '.join(KERNELS)})"
-            )
         self._as2org = as2org
-        self._kernel = kernel
         # Packed key → IPv4Prefix, shared across days: consecutive days
         # delegate almost the same prefixes, so the columnar drivers
         # materialize each distinct prefix exactly once per run.
@@ -201,10 +188,6 @@ class DelegationInference:
     @property
     def config(self) -> InferenceConfig:
         return self._config
-
-    @property
-    def kernel(self) -> str:
-        return self._kernel
 
     # -- single-day pipeline ------------------------------------------------
 
@@ -241,93 +224,14 @@ class DelegationInference:
         :meth:`repro.bgp.collector.CollectorSystem.pair_counts_for_day`.
         When the pairs did not pass through record-level sanitization,
         the bogon rule is applied here (the AS-path rules have no
-        equivalent at pair granularity).
-
-        Under the ``columnar`` kernel the dict is converted to a
+        equivalent at pair granularity).  The dict is converted to a
         :class:`~repro.bgp.rib.PairTable` and handed to
-        :meth:`infer_day_from_table`; the ``object`` kernel runs the
-        original trie/dict reference path below.
+        :meth:`infer_day_from_table`.
         """
-        from repro.netbase.bogons import is_bogon
-
-        if total_monitors <= 0:
-            raise ReproError("total_monitors must be positive")
-        if self._kernel == "columnar":
-            return self.infer_day_from_table(
-                PairTable.from_pairs(pairs), total_monitors, date,
-                result, pre_sanitized=pre_sanitized,
-            )
-        config = self._config
-        if config.sanitize and not pre_sanitized:
-            filtered = {}
-            for prefix, value in pairs.items():
-                if is_bogon(prefix):
-                    if result is not None:
-                        result.sanitize_stats.bogon_prefix += 1
-                    continue
-                filtered[prefix] = value
-            pairs = filtered
-        if result is not None:
-            result.pairs_seen += len(pairs)
-
-        # (ii) global-visibility filter.
-        needed = config.required_monitors(total_monitors)
-        visible: Dict[IPv4Prefix, object] = {}
-        for prefix, (origin_set, monitor_count) in pairs.items():
-            if monitor_count < needed:
-                if result is not None:
-                    result.pairs_dropped_visibility += 1
-                continue
-            visible[prefix] = origin_set
-
-        # (iii) unique-origin filter.
-        origin_of: Dict[IPv4Prefix, int] = {}
-        for prefix, origin_set in visible.items():
-            if config.drop_non_unique_origins and not origin_set.is_unique:
-                if result is not None:
-                    result.pairs_dropped_origin += 1
-                continue
-            if origin_set.is_unique:
-                origin_of[prefix] = origin_set.sole_origin()
-            else:
-                # Base algorithm keeps MOAS pairs out anyway: a prefix
-                # without a unique origin cannot appear on either side
-                # of an (S, T) delegation, so it is skipped here too.
-                if result is not None:
-                    result.pairs_dropped_origin += 1
-
-        # Core Krenc–Feldmann step: P' delegated iff its most-specific
-        # strict cover P has a different origin.
-        trie: PrefixTrie[int] = PrefixTrie()
-        for prefix, origin in origin_of.items():
-            trie.insert(prefix, origin)
-        delegations: List[BgpDelegation] = []
-        for prefix, delegatee in origin_of.items():
-            cover: Optional[Tuple[IPv4Prefix, int]] = None
-            for covering_prefix, origin in trie.covering(prefix):
-                if covering_prefix.length < prefix.length:
-                    cover = (covering_prefix, origin)
-            if cover is None:
-                continue
-            covering_prefix, delegator = cover
-            if delegator == delegatee:
-                continue
-            # (iv)+ same-organization filter.
-            if config.same_org_filter:
-                assert self._as2org is not None
-                if self._as2org.same_org(delegator, delegatee, date):
-                    if result is not None:
-                        result.delegations_dropped_same_org += 1
-                    continue
-            delegations.append(
-                BgpDelegation(
-                    prefix=prefix,
-                    delegator_asn=delegator,
-                    delegatee_asn=delegatee,
-                    covering_prefix=covering_prefix,
-                )
-            )
-        return delegations
+        return self.infer_day_from_table(
+            PairTable.from_pairs(pairs), total_monitors, date,
+            result, pre_sanitized=pre_sanitized,
+        )
 
     def infer_day_from_table(
         self,
@@ -339,16 +243,16 @@ class DelegationInference:
         pre_sanitized: bool = False,
         metrics: MetricsRegistry = NULL,
     ) -> List[BgpDelegation]:
-        """Steps (ii)–(iv) on a columnar day — the ``columnar`` kernel.
+        """Steps (ii)–(iv) on a columnar day — the per-day kernel.
 
-        Semantically identical to :meth:`infer_day_from_pairs`
+        Everything runs over the table's flat integer columns
         (differential tests pin byte-identical output and counter
-        parity), but everything runs over the table's flat integer
-        columns:
+        parity against the original trie/dict implementation, kept as
+        the test oracle ``tests/delegation/reference_kernel.py``):
 
         - one fused pass applies bogon (two-pointer against the sorted
           interval list), visibility and unique-origin filters, with
-          the same per-filter counting as the object path,
+          the same per-filter counting as the reference,
         - the Krenc–Feldmann core — each survivor's most-specific
           *strictly* covering survivor — is one O(n) stack pass over
           the already-sorted keys
@@ -433,7 +337,7 @@ class DelegationInference:
                 if not flags[i]:
                     # Non-unique origins (AS_SET or MOAS) never appear
                     # on either side of a delegation, so — matching the
-                    # object path — they are dropped and counted under
+                    # reference — they are dropped and counted under
                     # both settings of ``drop_non_unique_origins``.
                     origin_dropped += 1
                     continue
@@ -499,34 +403,22 @@ class DelegationInference:
         )
         total_monitors = stream.monitor_count()
         delegations_total = 0
-        use_table = (
-            self._kernel == "columnar"
-            and hasattr(stream, "pair_table_on")
-        )
         prefix_cache = self._prefix_cache
         for date in date_range(start, end, step_days):
             result.observation_dates.append(date)
             with metrics.span("pipeline.day"):
-                if use_table:
-                    rows = self._table_delegation_rows(
-                        stream.pair_table_on(date), total_monitors,
-                        date, result, metrics=metrics,
-                    )
-                    keys = []
-                    for key, delegator, delegatee, _cover in rows:
-                        prefix = prefix_cache.get(key)
-                        if prefix is None:
-                            prefix = IPv4Prefix(key >> 6, key & 0x3F)
-                            prefix_cache[key] = prefix
-                        keys.append((prefix, delegator, delegatee))
-                    day_count = len(rows)
-                else:
-                    delegations = self.infer_day_from_pairs(
-                        stream.pairs_on(date), total_monitors, date,
-                        result,
-                    )
-                    keys = [d.key() for d in delegations]
-                    day_count = len(delegations)
+                rows = self._table_delegation_rows(
+                    stream.pair_table_on(date), total_monitors,
+                    date, result, metrics=metrics,
+                )
+                keys = []
+                for key, delegator, delegatee, _cover in rows:
+                    prefix = prefix_cache.get(key)
+                    if prefix is None:
+                        prefix = IPv4Prefix(key >> 6, key & 0x3F)
+                        prefix_cache[key] = prefix
+                    keys.append((prefix, delegator, delegatee))
+                day_count = len(rows)
                 result.daily.record(date, keys)
             delegations_total += day_count
             if len(result.observation_dates) % 100 == 0:

@@ -1,4 +1,4 @@
-"""Parallel, cached execution of the delegation-inference pipeline.
+"""Parallel execution of the delegation-inference pipeline.
 
 The Fig. 6 measurement runs steps (i)–(iv) on ~880 independent daily
 RIBs and applies the cross-day consistency rule (v) once over the
@@ -12,23 +12,22 @@ so this module provides:
   *stream factory*) and reuses it for every day of its shard, and the
   as2org snapshots are shipped to each worker once at pool start-up
   instead of being re-loaded per day;
-- **an on-disk, content-addressed result cache** — one small binary
-  file per (config, input, day), keyed on the :class:`~repro.
-  delegation.inference.InferenceConfig` fields that affect steps
-  (i)–(iv) plus fingerprints of the input stream and the as2org
-  dataset.  The v2 payload is a fixed struct header (date + the five
-  attrition counters) followed by flat little-endian ``(network,
-  length, delegator, delegatee)`` quads — 16 bytes per delegation, no
-  JSON or string parsing on the warm path.  The schema number is part
-  of the content address, so bumping it turns every v1 entry into a
-  clean miss (old ``.json`` entries are simply never probed).
-  Re-running with an unchanged configuration is a pure cache read;
-  ablation sweeps only recompute the days whose parameters actually
-  changed (in particular, sweeping the consistency rule (v) never
-  invalidates the per-day cache, because (v) runs after the fan-in).
-  The kernel choice is deliberately *not* part of the key: both
-  kernels produce byte-identical results, so their entries are
-  interchangeable;
+- **zero-copy result fan-in** — workers pack each chunk's per-day
+  payloads into one shared-memory segment in the compact v2 ``RPD2``
+  layout (a fixed struct header with the date and the five attrition
+  counters, then flat little-endian ``(network, length, delegator,
+  delegatee)`` quads, 16 bytes per delegation) and the parent decodes
+  zero-copy views; a chunk that cannot get a segment comes back
+  pickled instead;
+- **persistent per-day results** — with a
+  :class:`~repro.store.shard.ShardStore` attached, every computed
+  day's RPD2 bytes are written through to the store's result-shard
+  namespace under a content address over the
+  :class:`~repro.delegation.inference.InferenceConfig` fields that
+  affect steps (i)–(iv) plus fingerprints of the input stream and the
+  as2org dataset.  Re-running with an unchanged configuration maps
+  every day straight back; sweeping the consistency rule (v) never
+  invalidates a result shard, because (v) runs after the fan-in;
 - **fan-in** in the parent: per-day results are merged in date order
   into one :class:`~repro.delegation.inference.InferenceResult`, and
   extension (v) is applied exactly once, so the output is
@@ -56,7 +55,16 @@ import time
 from array import array
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.asorg.as2org import As2OrgDataset
 from repro.bgp.rib import PairTable
@@ -64,7 +72,6 @@ from repro.bgp.stream import RouteStream, date_range
 from repro.delegation import delta as delta_mod
 from repro.delegation.consistency import fill_gaps
 from repro.delegation.inference import (
-    KERNELS,
     DelegationInference,
     InferenceConfig,
     InferenceResult,
@@ -78,17 +85,15 @@ from repro.netbase.prefix import IPv4Prefix
 from repro.obs.metrics import NULL, MetricsRegistry
 from repro.store.shard import (
     ShardStore,
-    atomic_write_bytes,
     decode_shard_buffer,
     encode_shard_bytes,
-    sweep_stale_temporaries,
 )
 
 require_codec_itemsizes()
 
 logger = logging.getLogger(__name__)
 
-#: Bump when the cache payload layout changes: old entries become
+#: Bump when the per-day payload layout changes: old entries become
 #: misses instead of being misread.  v2 switched the per-day payload
 #: from JSON (string prefixes) to the compact binary quad encoding —
 #: and because the schema participates in :func:`_cache_key`, every v1
@@ -122,7 +127,7 @@ class WorldStreamFactory:
         return World(self.scenario).stream()
 
     def fingerprint(self) -> str:
-        """Input identity for the cache key.
+        """Input identity for the store's content addresses.
 
         ``repr`` of a frozen dataclass is deterministic across
         processes (unlike ``hash``) and covers every generation
@@ -171,10 +176,11 @@ class RunnerStats:
 
     jobs: int
     days_total: int
+    #: Days served without computing: result-shard hits, or journal
+    #: replays on incremental sweeps.
     days_from_cache: int
     days_computed: int
     elapsed_seconds: float
-    cache_dir: Optional[str] = None
     #: Incremental-mode accounting: journal-replayed days never touch
     #: the stream at all; fast-pathed days reused the previous day's
     #: delegation rows because their delta left the survivors alone.
@@ -192,7 +198,7 @@ class RunnerStats:
         return self.days_from_cache / self.days_total
 
 
-# -- cache ----------------------------------------------------------------
+# -- per-day result payloads ----------------------------------------------
 
 
 def _cache_key(
@@ -203,7 +209,8 @@ def _cache_key(
 ) -> str:
     """Content address of one day's steps (i)–(iv) output.
 
-    Deliberately excludes ``consistency_rule``: extension (v) is
+    Result shards live under this key.  Deliberately excludes
+    ``consistency_rule``: extension (v) is
     applied after the fan-in, so sweeping (M, N) reuses every per-day
     entry.  The as2org fingerprint only participates when extension
     (iv) is on — toggling datasets cannot invalidate runs that never
@@ -219,11 +226,6 @@ def _cache_key(
         "input": input_fingerprint,
         "as2org": as2org_fingerprint if config.same_org_filter else None,
     })
-
-
-def _cache_path(cache_dir: pathlib.Path, key: str) -> pathlib.Path:
-    # Two-level fan-out keeps directories small on multi-year sweeps.
-    return cache_dir / key[:2] / f"{key}.bin"
 
 
 #: v2 binary layout: header (magic, schema, date, the five attrition
@@ -277,7 +279,7 @@ def _payload_to_bytes(payload: dict) -> bytes:
 
     Payloads decoded zero-copy out of a shared-memory segment or a
     result shard carry their backing bytes under ``"raw"``; writing
-    them back to the cache is then a buffer copy, not a re-encode.
+    them to a result shard is then a buffer copy, not a re-encode.
     """
     raw = payload.get("raw")
     if raw is not None:
@@ -285,78 +287,55 @@ def _payload_to_bytes(payload: dict) -> bytes:
     return _encode_payload(payload)
 
 
-def _decode_payload(data: bytes) -> Optional[dict]:
-    """Parse a v2 entry; ``None`` for anything torn or foreign."""
-    if len(data) < _CACHE_HEADER.size:
+def _decode_payload(data) -> Optional[dict]:
+    """Parse one v2 payload; ``None`` for anything torn or foreign.
+
+    ``data`` is any buffer: bytes, a shared-memory slice, a mapped
+    result shard.  On little-endian hosts the delegations come back as
+    a zero-copy :class:`_QuadView` into it; big-endian hosts decode a
+    list of tuples instead (a cast view would transpose every word).
+    The payload keeps the buffer under ``"raw"`` so writing it to a
+    result shard is a plain buffer copy.
+    """
+    view = data if isinstance(data, memoryview) else memoryview(data)
+    if len(view) < _CACHE_HEADER.size:
         return None
-    fields = _CACHE_HEADER.unpack_from(data)
+    fields = _CACHE_HEADER.unpack_from(view)
     magic, schema, year, month, day = fields[:5]
     count = fields[10]
     if magic != _CACHE_MAGIC or schema != CACHE_SCHEMA:
         return None
-    if len(data) != _CACHE_HEADER.size + count * _QUAD_BYTES:
+    if len(view) != _CACHE_HEADER.size + count * _QUAD_BYTES:
         return None
     try:
         date = datetime.date(year, month, day)
     except ValueError:
         return None
-    body = array("I")
-    body.frombytes(data[_CACHE_HEADER.size:])
-    if sys.byteorder != "little":
-        body.byteswap()
+    body = view[_CACHE_HEADER.size:]
+    if sys.byteorder == "little":
+        delegations = _QuadView(body)
+    else:
+        words = array("I")
+        words.frombytes(body)
+        words.byteswap()
+        delegations = [
+            tuple(words[i:i + 4]) for i in range(0, len(words), 4)
+        ]
     return {
         "date": date,
-        "delegations": [
-            tuple(body[i:i + 4]) for i in range(0, len(body), 4)
-        ],
+        "delegations": delegations,
         "counters": dict(zip(_COUNTER_FIELDS, fields[5:10])),
+        "raw": view,
     }
-
-
-def _cache_read(
-    path: pathlib.Path, metrics: MetricsRegistry = NULL
-) -> Optional[dict]:
-    """Load a payload, treating missing/corrupt entries as misses.
-
-    A missing file is an ordinary miss; an unreadable or malformed one
-    additionally bumps ``cache.malformed`` so ``repro history check``
-    can flag corruption storms instead of them hiding in the logs.
-    """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return None
-    except OSError:
-        logger.warning("discarding unreadable cache entry %s", path)
-        metrics.inc("cache.malformed")
-        return None
-    payload = _decode_payload(data)
-    if payload is None:
-        logger.warning("discarding malformed cache entry %s", path)
-        metrics.inc("cache.malformed")
-    return payload
-
-
-def _cache_write(path: pathlib.Path, payload: dict) -> None:
-    """Atomic write: concurrent runs never observe torn entries.
-
-    Delegates to :func:`~repro.store.shard.atomic_write_bytes`, whose
-    temporary name *appends* ``.tmp.<pid>`` to the full file name —
-    ``with_suffix`` would replace ``.bin``, making two entries that
-    differ only in suffix collide on one temporary, and crash leftovers
-    under the replaced name would never match the entry glob.  Stale
-    temporaries are swept when the cache is opened.
-    """
-    atomic_write_bytes(path, _payload_to_bytes(payload))
 
 
 # -- zero-copy result fan-in ----------------------------------------------
 #
-# With ``fanin="shm"`` workers never pickle a result row back to the
-# parent.  Each chunk encodes its payloads into the exact v2 cache
-# bytes, packs them back-to-back into one POSIX shared-memory segment,
-# and returns only ``("shm", name, size, entries)`` — a few dozen
-# bytes per chunk.  The parent attaches the segment, **unlinks it
+# Workers never pickle a result row back to the parent when they can
+# avoid it.  Each chunk encodes its payloads into the exact v2 bytes,
+# packs them back-to-back into one POSIX shared-memory segment, and
+# returns only ``("shm", name, size, entries)`` — a few dozen bytes
+# per chunk.  The parent attaches the segment, **unlinks it
 # immediately** (the mapping survives; the name cannot leak past a
 # crash), and decodes each entry as a :class:`_QuadView` — a cast
 # memoryview straight into the segment, never a list of tuples.
@@ -370,12 +349,9 @@ def _cache_write(path: pathlib.Path, payload: dict) -> None:
 # talk to the same tracker process and every register is matched by
 # exactly one unregister (no spurious leak warnings at exit).
 #
-# When shared memory is unavailable (exotic platforms, exhausted
-# ``/dev/shm``), workers silently fall back to returning pickled
-# payload lists — ``fanin="pickle"`` forces that mode everywhere and
-# reproduces the PR 8 transport exactly.
-
-_FANIN_MODES = ("shm", "pickle")
+# When :func:`_create_worker_segment` cannot get a segment (no
+# ``/dev/shm``, exhausted shared memory), the chunk's encoded bytes are
+# pickled back instead; ``fanin.pickled_kb`` counts them.
 
 _SHM_RUN_COUNTER = itertools.count()
 
@@ -414,31 +390,22 @@ def _create_worker_segment(
     return None
 
 
-def _ship_payloads(payloads: List[dict]) -> Optional[tuple]:
-    """Pack a chunk's payloads into one segment; ``None`` to fall back.
+def _ship_chunk(blobs: List[bytes], entries: List[tuple]) -> tuple:
+    """Pack a chunk's encoded days into one segment for the parent.
 
     Returns ``("shm", name, size, entries)`` where each entry is
     ``(offset, length, shard, shard_count)`` — everything the parent
     needs to rebuild zero-copy payload views in :func:`_receive_chunk`.
+    Without a segment the same bytes travel pickled instead:
+    ``("bytes", data, entries)``.
     """
-    prefix = _WORKER_STATE.get("shm_prefix")
-    if prefix is None:
-        return None
-    blobs = [_encode_payload(payload) for payload in payloads]
     total = sum(len(blob) for blob in blobs)
-    segment = _create_worker_segment(total, prefix)
+    segment = _create_worker_segment(total, _WORKER_STATE["shm_prefix"])
     if segment is None:
-        return None
+        return ("bytes", b"".join(blobs), entries)
     try:
-        entries = []
-        offset = 0
-        for payload, blob in zip(payloads, blobs):
-            segment.buf[offset:offset + len(blob)] = blob
-            entries.append((
-                offset, len(blob),
-                payload.get("shard", 0), payload.get("shard_count", 1),
-            ))
-            offset += len(blob)
+        for blob, (offset, length, _shard, _count) in zip(blobs, entries):
+            segment.buf[offset:offset + length] = blob
         name = segment.name
     except BaseException:
         segment.unlink()
@@ -484,12 +451,11 @@ def _sweep_segments(prefix: str) -> int:
 class _QuadView:
     """Zero-copy sequence view over a payload's flat u32 quad body.
 
-    Satisfies everything the fan-in and the cache writer need from
-    ``payload["delegations"]`` — ``len``, iteration, indexing,
+    Satisfies everything the fan-in and the result-shard writer need
+    from ``payload["delegations"]`` — ``len``, iteration, indexing,
     re-encoding — while the quads stay in the shared-memory segment
     (or result-shard map) they arrived in.  Little-endian hosts only;
-    :func:`_decode_payload_view` falls back to a copying decode
-    elsewhere.
+    :func:`_decode_payload` decodes a tuple list elsewhere.
     """
 
     __slots__ = ("_words",)
@@ -542,38 +508,6 @@ class _ConcatQuads:
 
     def __iter__(self):
         return itertools.chain.from_iterable(self.parts)
-
-
-def _decode_payload_view(view: memoryview) -> Optional[dict]:
-    """Decode a v2 payload from a buffer without copying the quads.
-
-    Identical validation to :func:`_decode_payload`, but the
-    delegations come back as a :class:`_QuadView` into ``view`` and
-    the payload keeps ``view`` under ``"raw"`` so a cache/result-shard
-    write is a plain buffer copy.  Big-endian hosts take the copying
-    decoder instead (the cast view would transpose every word).
-    """
-    if sys.byteorder != "little":
-        return _decode_payload(bytes(view))
-    if len(view) < _CACHE_HEADER.size:
-        return None
-    fields = _CACHE_HEADER.unpack_from(view)
-    magic, schema, year, month, day = fields[:5]
-    count = fields[10]
-    if magic != _CACHE_MAGIC or schema != CACHE_SCHEMA:
-        return None
-    if len(view) != _CACHE_HEADER.size + count * _QUAD_BYTES:
-        return None
-    try:
-        date = datetime.date(year, month, day)
-    except ValueError:
-        return None
-    return {
-        "date": date,
-        "delegations": _QuadView(view[_CACHE_HEADER.size:]),
-        "counters": dict(zip(_COUNTER_FIELDS, fields[5:10])),
-        "raw": view,
-    }
 
 
 class _FanInReceiver:
@@ -646,36 +580,31 @@ class _FanInReceiver:
         self._maps.clear()
 
 
-def _receive_chunk(
-    shipped: tuple, receiver: Optional["_FanInReceiver"]
-) -> List[dict]:
+def _receive_chunk(shipped: tuple, receiver: _FanInReceiver) -> List[dict]:
     """Turn one worker chunk's return value into payload dicts.
 
-    ``("payloads", [...])`` chunks (pickle mode, or a worker that
-    could not get a segment) pass through, counted on the receiver's
-    pickled-byte tally; ``("shm", ...)`` chunks are adopted and
-    decoded zero-copy.
+    ``("shm", ...)`` chunks are adopted (attached and unlinked at
+    once); ``("bytes", ...)`` chunks — from a worker that could not
+    get a segment — carry the same bytes pickled and count on the
+    receiver's pickled-byte tally.  Either way every day decodes
+    zero-copy out of one buffer.
     """
-    kind = shipped[0]
-    if kind == "payloads":
-        payloads = shipped[1]
-        if receiver is not None:
-            for payload in payloads:
-                receiver.pickled_bytes += (
-                    _CACHE_HEADER.size
-                    + len(payload["delegations"]) * _QUAD_BYTES
-                )
-        return payloads
-    _kind, name, size, entries = shipped
-    buf = receiver.adopt_segment(name, size)
+    if shipped[0] == "shm":
+        _kind, name, size, entries = shipped
+        buf = receiver.adopt_segment(name, size)
+        source = f"segment {name}"
+    else:
+        _kind, buf, entries = shipped
+        receiver.pickled_bytes += len(buf)
+        source = "a pickled chunk"
     payloads = []
     for offset, length, shard, shard_count in entries:
         view = receiver.view(buf, offset, length)
-        payload = _decode_payload_view(view)
+        payload = _decode_payload(view)
         if payload is None:
             raise ReproError(
-                "zero-copy fan-in: malformed payload entry at offset "
-                f"{offset} of segment {name}"
+                "result fan-in: malformed payload entry at offset "
+                f"{offset} of {source}"
             )
         payload["shard"] = shard
         payload["shard_count"] = shard_count
@@ -723,20 +652,20 @@ def _merge_day_payloads(parts: List[dict]) -> dict:
 
 
 def _result_shard_read(
-    store: ShardStore, key: str, receiver: "_FanInReceiver"
+    store: ShardStore, key: str, receiver: _FanInReceiver
 ) -> Optional[dict]:
     """Probe the store's result-shard namespace for one day's payload.
 
     A hit maps the shard read-only and decodes it zero-copy — the
-    warm path for ``--store`` sweeps skips both the kernel *and* the
-    per-day cache read.  Malformed bytes degrade to a miss (counted),
+    warm path for ``--store`` sweeps skips the input shard, the stream
+    and the kernel.  Malformed bytes degrade to a miss (counted),
     exactly like the input-shard namespace.
     """
     mapped = store.load_result(key)
     if mapped is None:
         return None
     view = memoryview(mapped)
-    payload = _decode_payload_view(view)
+    payload = _decode_payload(view)
     if payload is None:
         view.release()
         mapped.close()
@@ -800,12 +729,6 @@ class _DaySource:
                 self._stream.set_metrics(self._metrics)
         return self._stream
 
-    def has_tables(self) -> bool:
-        """Whether :meth:`table_on` can serve the columnar kernel."""
-        return self.store is not None or hasattr(
-            self.stream(), "pair_table_on"
-        )
-
     def table_on(
         self, date: datetime.date
     ) -> Tuple["object", int]:
@@ -825,19 +748,6 @@ class _DaySource:
         if self.store is not None:
             self.store.write(date, table, total_monitors)
         return table, total_monitors
-
-    def pairs_on(self, date: datetime.date) -> Tuple[dict, int]:
-        """``(pairs dict, total_monitors)`` for the object kernel.
-
-        Store-backed days rebuild the dict from the shard's columns —
-        the aggregation preserved every fact the object-path filters
-        read, so the results stay byte-identical.
-        """
-        if self.store is not None:
-            table, total_monitors = self.table_on(date)
-            return table.to_pairs(), total_monitors
-        stream = self.stream()
-        return stream.pairs_on(date), stream.monitor_count()
 
 
 def _day_shard_table(
@@ -871,19 +781,19 @@ def _compute_day_payload(
 ) -> dict:
     """Steps (i)–(iv) for one day, as a numeric payload.
 
-    The payload mirrors the v2 cache format: sorted ``(network,
-    length, delegator, delegatee)`` quads plus the bookkeeping
-    counters the sequential path accumulates.  Under the ``columnar``
-    kernel the day never materializes per-record objects at all — the
-    kernel's packed rows are reshaped straight into quads, straight
-    off the shard mapping when the source is store-backed.
+    The payload mirrors the v2 result layout: ``(network, length,
+    delegator, delegatee)`` quads plus the bookkeeping counters the
+    sequential path accumulates.  The day never materializes
+    per-record objects — the kernel's packed rows are reshaped
+    straight into quads, straight off the shard mapping when the
+    source is store-backed.  Kernel rows are key-ascending and keys
+    order exactly like ``(network, length, ...)`` tuples, so the
+    quads come out sorted without a sort.
 
     With ``shard_count > 1`` the call computes only the day's
-    ``shard``-th per-/8 slice (columnar kernel only): the fused filter
-    kernel runs over ``table.slice(lo, hi)`` and the quads skip the
-    sort entirely — kernel rows are key-ascending, and keys order
-    exactly like ``(network, length, ...)`` tuples.  The parent
-    reassembles the slices with :func:`_merge_day_payloads`.
+    ``shard``-th per-/8 slice: the fused filter kernel runs over
+    ``table.slice(lo, hi)``, and the parent reassembles the slices
+    with :func:`_merge_day_payloads`.
     """
     scratch = InferenceResult(
         daily=DailyDelegations(), config=inference.config
@@ -893,53 +803,18 @@ def _compute_day_payload(
             source, date, shard_count
         )
         low, high = bounds[shard]
-        rows = inference._table_delegation_rows(
-            table.slice(low, high), total_monitors, date, scratch,
-            metrics=metrics,
-        )
-        quads = [
-            (key >> 6, key & 0x3F, delegator, delegatee)
-            for key, delegator, delegatee, _cover in rows
-        ]
-        return {
-            "date": date,
-            "delegations": quads,
-            "counters": {
-                "pairs_seen": scratch.pairs_seen,
-                "pairs_dropped_visibility":
-                    scratch.pairs_dropped_visibility,
-                "pairs_dropped_origin": scratch.pairs_dropped_origin,
-                "delegations_dropped_same_org":
-                    scratch.delegations_dropped_same_org,
-                "bogon_prefix": scratch.sanitize_stats.bogon_prefix,
-            },
-            "shard": shard,
-            "shard_count": shard_count,
-        }
-    if inference.kernel == "columnar" and source.has_tables():
-        table, total_monitors = source.table_on(date)
-        rows = inference._table_delegation_rows(
-            table, total_monitors, date, scratch, metrics=metrics,
-        )
-        quads = sorted(
-            (key >> 6, key & 0x3F, delegator, delegatee)
-            for key, delegator, delegatee, _cover in rows
-        )
+        table = table.slice(low, high)
     else:
-        pairs, total_monitors = source.pairs_on(date)
-        delegations = inference.infer_day_from_pairs(
-            pairs, total_monitors, date, scratch
-        )
-        quads = sorted(
-            (
-                d.prefix.network, d.prefix.length,
-                d.delegator_asn, d.delegatee_asn,
-            )
-            for d in delegations
-        )
+        table, total_monitors = source.table_on(date)
+    rows = inference._table_delegation_rows(
+        table, total_monitors, date, scratch, metrics=metrics,
+    )
     return {
         "date": date,
-        "delegations": quads,
+        "delegations": [
+            (key >> 6, key & 0x3F, delegator, delegatee)
+            for key, delegator, delegatee, _cover in rows
+        ],
         "counters": {
             "pairs_seen": scratch.pairs_seen,
             "pairs_dropped_visibility": scratch.pairs_dropped_visibility,
@@ -948,6 +823,8 @@ def _compute_day_payload(
                 scratch.delegations_dropped_same_org,
             "bogon_prefix": scratch.sanitize_stats.bogon_prefix,
         },
+        "shard": shard,
+        "shard_count": shard_count,
     }
 
 
@@ -963,10 +840,8 @@ def _init_worker(
     instrument: bool = False,
     trace: bool = False,
     profile: bool = False,
-    kernel: str = "columnar",
     store_dir: Optional[str] = None,
     input_fp: Optional[str] = None,
-    fanin: str = "pickle",
     shm_prefix: Optional[str] = None,
 ) -> None:
     """Pool initializer: runs once per worker process.
@@ -991,10 +866,8 @@ def _init_worker(
     _WORKER_STATE["instrument"] = instrument
     _WORKER_STATE["trace"] = trace
     _WORKER_STATE["profile"] = profile
-    _WORKER_STATE["kernel"] = kernel
     _WORKER_STATE["store_dir"] = store_dir
     _WORKER_STATE["input_fp"] = input_fp
-    _WORKER_STATE["fanin"] = fanin
     _WORKER_STATE["shm_prefix"] = shm_prefix
 
 
@@ -1053,17 +926,18 @@ def _worker_run_chunk(
     """Execute steps (i)–(iv) for one chunk of (sub-)day tasks.
 
     Each task is ``(date, shard, shard_count)`` — whole days when
-    ``shard_count == 1``, per-/8 slices otherwise.  Returns either a
-    ``("shm", ...)`` segment descriptor or ``("payloads", [...])``,
-    plus the chunk's metrics registry (``None`` when the run is
-    uninstrumented).
+    ``shard_count == 1``, per-/8 slices otherwise.  Every finished
+    day is encoded to its v2 bytes at once, so a chunk holds compact
+    bytes rather than quad tuples and worker memory stays flat however
+    many days a chunk spans.  Returns the :func:`_ship_chunk`
+    descriptor plus the chunk's metrics registry (``None`` when the
+    run is uninstrumented).
     """
     source = _worker_source()
     inference = _WORKER_STATE.get("inference")
     if inference is None:
         inference = DelegationInference(
-            _WORKER_STATE["config"], _WORKER_STATE["as2org"],
-            kernel=_WORKER_STATE.get("kernel", "columnar"),
+            _WORKER_STATE["config"], _WORKER_STATE["as2org"]
         )
         _WORKER_STATE["inference"] = inference
     registry: Optional[MetricsRegistry] = None
@@ -1071,39 +945,45 @@ def _worker_run_chunk(
         registry = _worker_registry()
         source.set_metrics(registry)
         materialized_before = PairTable.materialize_count
-    payloads = []
+    blobs: List[bytes] = []
+    entries: List[tuple] = []
+    offset = 0
     for date, shard, shard_count in tasks:
         if registry is None:
-            payloads.append(_compute_day_payload(
+            payload = _compute_day_payload(
                 source, inference, date,
                 shard=shard, shard_count=shard_count,
-            ))
-            continue
-        # A span (not a bare observe) so the same per-day timing also
-        # lands on the trace timeline and in the profile gauges; the
-        # worker's span stack is empty, so the timer keeps its
-        # historical name.  Sub-day slices time under their own name,
-        # so traces show per-/8 lanes distinctly from whole days.
-        span_name = (
-            "runner.compute.dayshard" if shard_count > 1
-            else "runner.compute.day"
-        )
-        with registry.span(span_name):
-            payloads.append(_compute_day_payload(
-                source, inference, date, registry,
-                shard=shard, shard_count=shard_count,
-            ))
+            )
+        else:
+            # A span (not a bare observe) so the same per-day timing
+            # also lands on the trace timeline and in the profile
+            # gauges; the worker's span stack is empty, so the timer
+            # keeps its historical name.  Sub-day slices time under
+            # their own name, so traces show per-/8 lanes distinctly
+            # from whole days.
+            span_name = (
+                "runner.compute.dayshard" if shard_count > 1
+                else "runner.compute.day"
+            )
+            with registry.span(span_name):
+                payload = _compute_day_payload(
+                    source, inference, date, registry,
+                    shard=shard, shard_count=shard_count,
+                )
+        blob = _encode_payload(payload)
+        # Drop the quad tuples now, not when the next day rebinds the
+        # name: the next day's compute must not run on top of them.
+        del payload
+        blobs.append(blob)
+        entries.append((offset, len(blob), shard, shard_count))
+        offset += len(blob)
     if registry is not None:
         registry.inc("runner.chunks")
         registry.inc(
             "pairtable.materialized",
             PairTable.materialize_count - materialized_before,
         )
-    if _WORKER_STATE.get("fanin") == "shm":
-        shipped = _ship_payloads(payloads)
-        if shipped is not None:
-            return shipped, registry
-    return ("payloads", payloads), registry
+    return _ship_chunk(blobs, entries), registry
 
 
 def _worker_diff_chunk(
@@ -1173,29 +1053,26 @@ def _seed_item(
     date-sized reference and the parent re-maps the shard.  Otherwise
     the zero-copy transport serializes the table into a shared-memory
     segment in the RPSHARD3 layout; only when both are unavailable
-    does the seed fall back to the PR 8 behaviour — a materialized,
-    pickled table (visible as ``pairtable.materialized`` ticking up).
+    does the seed travel as a pickled table (copied out of any mapping
+    first, which ``pairtable.materialized`` counts).
     """
     if source.store is not None:
         return ("seed_ref", date, total_monitors)
-    if _WORKER_STATE.get("fanin") == "shm":
-        prefix = _WORKER_STATE.get("shm_prefix")
-        if prefix is not None:
-            blob = encode_shard_bytes(date, table, total_monitors)
-            segment = _create_worker_segment(len(blob), prefix)
-            if segment is not None:
-                try:
-                    segment.buf[:len(blob)] = blob
-                    name = segment.name
-                except BaseException:
-                    segment.unlink()
-                    raise
-                finally:
-                    segment.close()
-                return (
-                    "seed_shm", date, name, len(blob), total_monitors
-                )
-    return ("seed", date, table.materialize(), total_monitors)
+    blob = encode_shard_bytes(date, table, total_monitors)
+    segment = _create_worker_segment(
+        len(blob), _WORKER_STATE["shm_prefix"]
+    )
+    if segment is None:
+        return ("seed", date, table.materialize(), total_monitors)
+    try:
+        segment.buf[:len(blob)] = blob
+        name = segment.name
+    except BaseException:
+        segment.unlink()
+        raise
+    finally:
+        segment.close()
+    return ("seed_shm", date, name, len(blob), total_monitors)
 
 
 # -- parent side ----------------------------------------------------------
@@ -1208,7 +1085,7 @@ def _chunk(items: Sequence, size: int) -> List[List]:
 def _resolve_seed_item(
     item: tuple,
     store: Optional[ShardStore],
-    receiver: Optional[_FanInReceiver],
+    receiver: _FanInReceiver,
 ) -> tuple:
     """Rehydrate a worker's seed hand-back into a plain seed item.
 
@@ -1243,6 +1120,77 @@ def _resolve_seed_item(
     return item
 
 
+def _run_pool(
+    stream_factory: StreamFactory,
+    config: InferenceConfig,
+    as2org: Optional[As2OrgDataset],
+    jobs: int,
+    metrics: MetricsRegistry,
+    store: Optional[ShardStore],
+    worker: Callable,
+    calls: Sequence[tuple],
+    consume: Callable[[Any], None],
+    what: str,
+) -> None:
+    """Run ``worker(*args)`` for every ``args`` in ``calls`` on a pool.
+
+    Results are handed to ``consume`` in submission order, together
+    with merging each chunk's metrics registry.  Workers mirror the
+    parent's capabilities (a tracing parent gets per-lane worker
+    traces, a profiling parent gets worker-side peak gauges); a store
+    is forwarded as ``(directory, fingerprint)`` strings, so workers
+    map shards themselves instead of the parent pickling inputs to
+    them.  Any worker failure surfaces as :class:`ReproError`, and
+    every exit path sweeps the run's shared-memory segments after the
+    pool shuts down.
+    """
+    prefix = _shm_run_prefix()
+    # One tracker, owned by this process and inherited by every
+    # worker: worker-side segment registrations and parent-side
+    # unlinks must reach the same tracker, or each side's exit prints
+    # spurious leak warnings.
+    resource_tracker.ensure_running()
+    executor = concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(jobs, len(calls)),
+        initializer=_init_worker,
+        initargs=(
+            stream_factory, config, as2org, metrics.enabled,
+            getattr(metrics, "trace", None) is not None,
+            metrics.memory_profiling,
+            str(store.directory) if store is not None else None,
+            store.input_fingerprint if store is not None else None,
+            prefix,
+        ),
+    )
+    try:
+        futures = [executor.submit(worker, *args) for args in calls]
+        for future in futures:
+            try:
+                value, worker_registry = future.result()
+            except ReproError:
+                raise
+            except Exception as exc:
+                raise ReproError(
+                    f"{what} worker failed: {type(exc).__name__}: {exc}"
+                ) from exc
+            consume(value)
+            if worker_registry is not None:
+                metrics.merge(worker_registry)
+                metrics.inc("runner.worker_registries_merged")
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+        swept = _sweep_segments(prefix)
+        if swept:
+            metrics.inc("fanin.segments_swept", swept)
+
+
+def _chunk_size(items: int, jobs: int) -> int:
+    """How many items per chunk give each worker about
+    ``_CHUNKS_PER_WORKER`` chunks."""
+    workers = min(jobs, items)
+    return max(1, -(-items // (workers * _CHUNKS_PER_WORKER)))
+
+
 def _diff_parallel(
     stream_factory: StreamFactory,
     config: InferenceConfig,
@@ -1250,10 +1198,9 @@ def _diff_parallel(
     dates: Sequence[datetime.date],
     prev_date: Optional[datetime.date],
     jobs: int,
-    metrics: MetricsRegistry = NULL,
-    store: Optional[ShardStore] = None,
-    fanin: str = "pickle",
-    receiver: Optional[_FanInReceiver] = None,
+    metrics: MetricsRegistry,
+    store: Optional[ShardStore],
+    receiver: _FanInReceiver,
 ) -> List[tuple]:
     """Fan day-over-day diffing out over a process pool.
 
@@ -1263,63 +1210,23 @@ def _diff_parallel(
     back small — applying them stays sequential in the parent, where
     the single :class:`~repro.delegation.delta.DeltaState` lives.  The
     only potentially large item, the first chunk's seed table, takes
-    the zero-copy route when ``fanin="shm"`` (see :func:`_seed_item`).
+    the zero-copy route (see :func:`_seed_item`).
     """
-    workers = min(jobs, len(dates))
-    chunk_size = max(1, -(-len(dates) // (workers * _CHUNKS_PER_WORKER)))
-    chunks = _chunk(dates, chunk_size)
+    chunks = _chunk(dates, _chunk_size(len(dates), jobs))
     anchors: List[Optional[datetime.date]] = [prev_date] + [
         chunk[-1] for chunk in chunks[:-1]
     ]
-    use_shm = fanin == "shm" and receiver is not None
-    prefix = _shm_run_prefix() if use_shm else None
-    if prefix is not None:
-        # One tracker, owned by this process and inherited by every
-        # worker: worker-side segment registrations and parent-side
-        # unlinks must reach the same tracker, or each side's exit
-        # prints spurious leak warnings.
-        resource_tracker.ensure_running()
     items: List[tuple] = []
-    executor = concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(
-            stream_factory, config, as2org, metrics.enabled,
-            getattr(metrics, "trace", None) is not None,
-            metrics.memory_profiling,
-            "columnar",
-            str(store.directory) if store is not None else None,
-            store.input_fingerprint if store is not None else None,
-            "shm" if use_shm else "pickle",
-            prefix,
-        ),
+
+    def consume(chunk_items: List[tuple]) -> None:
+        for item in chunk_items:
+            items.append(_resolve_seed_item(item, store, receiver))
+
+    _run_pool(
+        stream_factory, config, as2org, jobs, metrics, store,
+        _worker_diff_chunk, list(zip(chunks, anchors)), consume,
+        "delegation-delta",
     )
-    try:
-        futures = [
-            executor.submit(_worker_diff_chunk, chunk, anchor)
-            for chunk, anchor in zip(chunks, anchors)
-        ]
-        for future in futures:
-            try:
-                chunk_items, worker_registry = future.result()
-            except ReproError:
-                raise
-            except Exception as exc:
-                raise ReproError(
-                    "delegation-delta worker failed: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            for item in chunk_items:
-                items.append(_resolve_seed_item(item, store, receiver))
-            if worker_registry is not None:
-                metrics.merge(worker_registry)
-                metrics.inc("runner.worker_registries_merged")
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
-        if prefix is not None:
-            swept = _sweep_segments(prefix)
-            if swept:
-                metrics.inc("fanin.segments_swept", swept)
     return items
 
 
@@ -1332,9 +1239,8 @@ def _run_incremental(
     jobs: int,
     journal_dir: Optional[Union[str, pathlib.Path]],
     metrics: MetricsRegistry,
-    store: Optional[ShardStore] = None,
-    fanin: str = "pickle",
-    receiver: Optional[_FanInReceiver] = None,
+    store: Optional[ShardStore],
+    receiver: _FanInReceiver,
 ) -> Tuple[Dict[datetime.date, dict], dict]:
     """The incremental sweep: journal replay, then delta compute.
 
@@ -1439,8 +1345,7 @@ def _run_incremental(
                 )
                 items = _diff_parallel(
                     stream_factory, config, as2org, remaining,
-                    prev_date, jobs, metrics,
-                    store=store, fanin=fanin, receiver=receiver,
+                    prev_date, jobs, metrics, store, receiver,
                 )
             else:
                 items = None
@@ -1521,33 +1426,30 @@ def run_inference(
     as2org: Optional[As2OrgDataset] = None,
     step_days: int = 1,
     jobs: Optional[int] = None,
-    cache_dir: Optional[Union[str, pathlib.Path]] = None,
     metrics: MetricsRegistry = NULL,
-    kernel: str = "columnar",
     incremental: bool = False,
     journal_dir: Optional[Union[str, pathlib.Path]] = None,
     store_dir: Optional[Union[str, pathlib.Path]] = None,
-    fanin: str = "shm",
     day_shards: int = 1,
 ) -> InferenceResult:
     """Run the full pipeline over ``[start, end)``, in parallel.
 
     ``stream_factory`` must be a zero-argument callable returning the
     :class:`RouteStream` to read (e.g. :class:`WorldStreamFactory`);
-    with ``jobs > 1`` it must be picklable, and with ``cache_dir`` set
-    it must additionally expose a ``fingerprint()`` identifying the
-    input data.  ``jobs=None`` uses ``os.cpu_count()``; ``jobs=1``
-    never spawns a process pool — the fan-out runs inline in this
-    process, so a single-job cold run costs no more than the
-    sequential path.
-
-    ``kernel`` picks the per-day implementation (``columnar`` — the
-    packed-array fast path — or ``object``, the trie reference); both
-    yield byte-identical results and share cache entries.
+    with ``jobs > 1`` it must be picklable, and with ``store_dir`` or
+    ``journal_dir`` set it must additionally expose a
+    ``fingerprint()`` identifying the input data.  ``jobs=None`` uses
+    ``os.cpu_count()``; ``jobs=1`` never spawns a process pool — the
+    fan-out runs inline in this process, so a single-job cold run
+    costs no more than the sequential path.  Pool runs return their
+    results through shared memory (see the fan-in notes above);
+    segments are unlinked the moment the parent attaches them and
+    swept by prefix after every pool shutdown, so no exit path
+    (completion, worker crash, interrupt) leaks one.
 
     ``metrics`` (when not the no-op default) receives nested stage
     spans (``runner.cache_probe`` / ``runner.compute`` /
-    ``runner.fan_in`` / ``runner.consistency``), cache hit/miss
+    ``runner.fan_in`` / ``runner.consistency``), result-shard hit/miss
     counters, per-day compute timings (fanned back in from the worker
     registries), and the per-filter attrition counters shared with the
     sequential path.
@@ -1561,48 +1463,31 @@ def run_inference(
     sweep is journaled under a content-addressed JSONL file there:
     re-runs replay the journal without touching the stream at all, a
     crashed sweep resumes after its last appended day, and a *longer*
-    window extends the same journal.  Incremental sweeps ignore
-    ``cache_dir`` (the journal subsumes the per-day cache) and
-    ``kernel`` (the delta path has exactly one implementation).
+    window extends the same journal.
 
     ``store_dir`` attaches the out-of-core shard store
-    (:mod:`repro.store`): every day's aggregated pair table lives in a
-    per-day memory-mapped shard file whose layout is the columnar
-    layout, so warm days are zero-copy maps — no stream build, no
-    aggregation, near-flat per-process memory peaks regardless of
-    prefix count.  Workers open the store by path instead of receiving
-    pickled inputs.  Unlike ``cache_dir`` (post-filter results, keyed
-    on the config), the store holds *pre-filter inputs* keyed only on
-    the input fingerprint, so one store serves every config, both
-    kernels, and the incremental path — all byte-identical to the
-    in-RAM paths.  The two compose: a store feeds computes, the cache
-    skips them.
-
-    ``fanin`` picks the worker→parent result transport.  The default
-    ``"shm"`` serializes each chunk's payloads into one shared-memory
-    segment in the exact v2 cache layout and ships a tiny descriptor;
-    the parent decodes zero-copy views and never unpickles a result
-    row.  With a store attached (and not incremental), ``"shm"`` also
-    write-through-caches every computed day into the store's
-    result-shard namespace, so warm sweeps map results directly.
-    ``"pickle"`` forces the original pickled transport (and disables
-    result shards) — the byte-identical baseline the fan-in benchmark
-    compares against.  Segments are unlinked the moment the parent
-    attaches them and swept by prefix after every pool shutdown, so
-    no exit path (completion, worker crash, interrupt) leaks one.
+    (:mod:`repro.store`), the one persistent tier.  Its input shards
+    hold every day's aggregated pair table in the columnar layout,
+    keyed only on the input fingerprint, so warm days are zero-copy
+    maps — no stream build, no aggregation, near-flat per-process
+    memory peaks — shared by every config and by the incremental
+    path.  Full (non-incremental) sweeps also write every computed
+    day's v2 bytes through to the store's result shards, keyed on the
+    config-dependent :func:`_cache_key`; a warm re-run maps each day's
+    result directly and never runs the kernel.
 
     ``day_shards`` splits every computed day into that many per-/8
-    sub-tasks (columnar kernel only): each runs the fused filter
-    kernel over one top-octet slice of the day's key array, and the
-    parent stitches the slices back with a deterministic k-way
-    concatenation whose order the sorted-array invariant fixes — so
-    one internet-scale day saturates the pool instead of one worker.
-    Output stays byte-identical for any shard count.
+    sub-tasks: each runs the fused filter kernel over one top-octet
+    slice of the day's key array, and the parent stitches the slices
+    back with a deterministic k-way concatenation whose order the
+    sorted-array invariant fixes — so one internet-scale day saturates
+    the pool instead of one worker.  Output stays byte-identical for
+    any shard count.
 
     Returns an :class:`InferenceResult` byte-identical (in its
     ``daily`` delegations) to the sequential
     :meth:`DelegationInference.infer_range`, with ``runner_stats``
-    describing the fan-out and cache behaviour (including, for
+    describing the fan-out and result-shard behaviour (including, for
     incremental sweeps, replay/fast-path accounting) and — for
     incremental sweeps — a ``delta_handle`` the serving layer can
     keep applying new-day entries to.
@@ -1611,26 +1496,10 @@ def run_inference(
     config = config or InferenceConfig()
     if config.same_org_filter and as2org is None:
         raise ReproError("same_org_filter requires an as2org dataset")
-    if kernel not in KERNELS:
-        raise ReproError(
-            f"unknown inference kernel {kernel!r} "
-            f"(choose from {', '.join(KERNELS)})"
-        )
-
     if journal_dir is not None and not incremental:
         raise ReproError("journal_dir requires incremental=True")
-    if fanin not in _FANIN_MODES:
-        raise ReproError(
-            f"unknown fan-in mode {fanin!r} "
-            f"(choose from {', '.join(_FANIN_MODES)})"
-        )
     if day_shards < 1:
         raise ReproError("day_shards must be at least 1")
-    if day_shards > 1 and kernel != "columnar":
-        raise ReproError(
-            "day_shards > 1 requires the columnar kernel: per-/8 cut "
-            "points are defined on the packed key array"
-        )
     if day_shards > 1 and incremental:
         raise ReproError(
             "day_shards cannot combine with incremental=True "
@@ -1642,26 +1511,6 @@ def run_inference(
     if resolved_jobs < 1:
         raise ReproError("jobs must be at least 1")
 
-    cache_base: Optional[pathlib.Path] = None
-    input_fp = as2org_fp = None
-    if incremental:
-        cache_dir = None  # the journal subsumes the per-day cache
-    if cache_dir is not None:
-        fingerprint = getattr(stream_factory, "fingerprint", None)
-        if fingerprint is None:
-            raise ReproError(
-                "caching requires a stream factory with a fingerprint() "
-                "identifying its input data"
-            )
-        cache_base = pathlib.Path(cache_dir)
-        sweep_stale_temporaries(
-            cache_base, metrics=metrics, counter="cache.tmp_swept"
-        )
-        input_fp = fingerprint()
-        if config.same_org_filter:
-            assert as2org is not None
-            as2org_fp = as2org.fingerprint()
-
     store: Optional[ShardStore] = None
     if store_dir is not None:
         fingerprint = getattr(stream_factory, "fingerprint", None)
@@ -1671,18 +1520,17 @@ def run_inference(
                 "fingerprint() identifying its input data"
             )
         store = ShardStore(store_dir, fingerprint(), metrics=metrics)
-
-    # The result-shard warm path needs the cache key even when no
-    # cache_dir is configured; the store's fingerprint is the same
-    # input fingerprint the cache would have computed.
-    use_result_shards = (
-        store is not None and fanin == "shm" and not incremental
+    # Incremental sweeps keep per-day results in the delta journal.
+    use_result_shards = store is not None and not incremental
+    as2org_fp = (
+        as2org.fingerprint()
+        if use_result_shards and config.same_org_filter else None
     )
-    if use_result_shards and input_fp is None:
-        input_fp = store.input_fingerprint
-        if config.same_org_filter:
-            assert as2org is not None
-            as2org_fp = as2org.fingerprint()
+
+    def result_key(date: datetime.date) -> str:
+        return _cache_key(
+            config, date, store.input_fingerprint, as2org_fp
+        )
 
     metrics.inc("runner.days_total", len(dates))
     metrics.set_gauge("runner.jobs", resolved_jobs)
@@ -1697,28 +1545,22 @@ def run_inference(
         with metrics.span("runner.incremental"):
             payload_by_date, inc_info = _run_incremental(
                 stream_factory, config, as2org, dates, step_days,
-                resolved_jobs, journal_dir, metrics, store,
-                fanin=fanin, receiver=receiver,
+                resolved_jobs, journal_dir, metrics, store, receiver,
             )
-    # Phase 1: resolve result-shard and cache hits.
-    elif cache_base is not None or use_result_shards:
+    # Phase 1: resolve result-shard hits.
+    elif use_result_shards:
         with metrics.span("runner.cache_probe"):
             for date in dates:
-                key = _cache_key(config, date, input_fp, as2org_fp)
-                payload = None
-                if use_result_shards:
-                    payload = _result_shard_read(store, key, receiver)
-                if payload is None and cache_base is not None:
-                    payload = _cache_read(
-                        _cache_path(cache_base, key), metrics
-                    )
+                payload = _result_shard_read(
+                    store, result_key(date), receiver
+                )
                 if payload is None:
                     missing.append(date)
                 else:
                     payload_by_date[date] = payload
         metrics.inc("runner.cache.hits", len(dates) - len(missing))
         metrics.inc("runner.cache.misses", len(missing))
-    elif not incremental:
+    else:
         missing = list(dates)
 
     # Phase 2: compute the misses — fanned out or in-process.
@@ -1732,9 +1574,8 @@ def run_inference(
                 ):
                     computed = _compute_parallel(
                         stream_factory, config, as2org, missing,
-                        resolved_jobs, metrics, kernel, store,
-                        fanin=fanin, day_shards=day_shards,
-                        receiver=receiver,
+                        resolved_jobs, metrics, store, day_shards,
+                        receiver,
                     )
                 else:
                     # Single-job (or single-day, unsharded) runs stay
@@ -1742,9 +1583,7 @@ def run_inference(
                     # one worker can only add spawn and pickling
                     # overhead on top of the same sequential work.
                     source = _DaySource(stream_factory, store, metrics)
-                    inference = DelegationInference(
-                        config, as2org, kernel=kernel
-                    )
+                    inference = DelegationInference(config, as2org)
                     for date in missing:
                         with metrics.span("day"):
                             computed.append(_compute_day_payload(
@@ -1754,17 +1593,12 @@ def run_inference(
             for payload in computed:
                 date = payload["date"]
                 payload_by_date[date] = payload
-                if cache_base is not None or use_result_shards:
-                    key = _cache_key(config, date, input_fp, as2org_fp)
-                    # One encode serves both sinks; zero-copy payloads
-                    # are a buffer copy here, never a quad walk.
-                    data = _payload_to_bytes(payload)
-                    if cache_base is not None:
-                        atomic_write_bytes(
-                            _cache_path(cache_base, key), data
-                        )
-                    if use_result_shards:
-                        store.write_result(key, data)
+                if use_result_shards:
+                    # Zero-copy payloads are a buffer copy here, never
+                    # a quad walk.
+                    store.write_result(
+                        result_key(date), _payload_to_bytes(payload)
+                    )
 
     # Phase 3: fan-in, in date order, then extension (v) exactly once.
     # Consecutive days share almost all delegations, so prefixes are
@@ -1843,7 +1677,6 @@ def run_inference(
         days_from_cache=days_from_cache,
         days_computed=days_computed,
         elapsed_seconds=time.perf_counter() - began,
-        cache_dir=str(cache_base) if cache_base is not None else None,
         incremental=incremental,
         days_replayed=(
             inc_info["days_replayed"] if inc_info is not None else 0
@@ -1879,12 +1712,10 @@ def _compute_parallel(
     as2org: Optional[As2OrgDataset],
     missing: Sequence[datetime.date],
     jobs: int,
-    metrics: MetricsRegistry = NULL,
-    kernel: str = "columnar",
-    store: Optional[ShardStore] = None,
-    fanin: str = "pickle",
-    day_shards: int = 1,
-    receiver: Optional[_FanInReceiver] = None,
+    metrics: MetricsRegistry,
+    store: Optional[ShardStore],
+    day_shards: int,
+    receiver: _FanInReceiver,
 ) -> List[dict]:
     """Fan the missing (sub-)day tasks out over a process pool.
 
@@ -1893,83 +1724,41 @@ def _compute_parallel(
     from different workers in any order and are reassembled with
     :func:`_merge_day_payloads` as soon as the last one lands.  With
     an enabled ``metrics`` registry, every worker chunk returns its
-    own registry alongside its results; they are merged here, so
-    per-day timings and stream counters survive the fan-in.  A store
-    is forwarded as ``(directory, fingerprint)`` strings — workers map
-    shards themselves instead of the parent pickling inputs to them.
+    own registry alongside its results, so per-day timings and stream
+    counters survive the fan-in.
     """
     tasks = [
         (date, shard, day_shards)
         for date in missing
         for shard in range(day_shards)
     ]
-    workers = min(jobs, len(tasks))
-    chunk_size = max(
-        1, -(-len(tasks) // (workers * _CHUNKS_PER_WORKER))
-    )
-    chunks = _chunk(tasks, chunk_size)
-    use_shm = fanin == "shm" and receiver is not None
-    prefix = _shm_run_prefix() if use_shm else None
-    if prefix is not None:
-        # See _diff_parallel: the tracker must pre-date the fork so
-        # worker registers and parent unlinks meet in one process.
-        resource_tracker.ensure_running()
+    chunks = _chunk(tasks, _chunk_size(len(tasks), jobs))
     payloads: List[dict] = []
     pending: Dict[datetime.date, List[dict]] = {}
-    executor = concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(
-            stream_factory, config, as2org, metrics.enabled,
-            # Workers mirror the parent's capabilities: a tracing
-            # parent gets per-lane worker traces, a profiling parent
-            # gets worker-side peak gauges (max-merged at fan-in).
-            getattr(metrics, "trace", None) is not None,
-            metrics.memory_profiling,
-            kernel,
-            str(store.directory) if store is not None else None,
-            store.input_fingerprint if store is not None else None,
-            "shm" if use_shm else "pickle",
-            prefix,
-        ),
+
+    def consume(shipped: tuple) -> None:
+        for payload in _receive_chunk(shipped, receiver):
+            if payload["shard_count"] == 1:
+                payloads.append(payload)
+                continue
+            parts = pending.setdefault(payload["date"], [])
+            parts.append(payload)
+            if len(parts) == payload["shard_count"]:
+                payloads.append(_merge_day_payloads(parts))
+                del pending[payload["date"]]
+
+    # The worker is looked up here, at submit time, so a wrapper
+    # installed on the module attribute (tracing) runs in the pool.
+    _run_pool(
+        stream_factory, config, as2org, jobs, metrics, store,
+        _worker_run_chunk, [(chunk,) for chunk in chunks], consume,
+        "delegation-inference",
     )
-    try:
-        futures = [
-            executor.submit(_worker_run_chunk, chunk) for chunk in chunks
-        ]
-        for future in futures:
-            try:
-                shipped, worker_registry = future.result()
-            except ReproError:
-                raise
-            except Exception as exc:
-                raise ReproError(
-                    "delegation-inference worker failed: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            for payload in _receive_chunk(shipped, receiver):
-                if payload.get("shard_count", 1) > 1:
-                    parts = pending.setdefault(payload["date"], [])
-                    parts.append(payload)
-                    if len(parts) == payload["shard_count"]:
-                        payloads.append(_merge_day_payloads(parts))
-                        del pending[payload["date"]]
-                else:
-                    payloads.append(payload)
-            if worker_registry is not None:
-                metrics.merge(worker_registry)
-                metrics.inc("runner.worker_registries_merged")
-        if pending:
-            stuck = sorted(pending)[0]
-            raise ReproError(
-                "day-shard fan-in incomplete: "
-                f"{stuck.isoformat()} received "
-                f"{len(pending[stuck])} of {day_shards} parts"
-            )
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
-        if prefix is not None:
-            swept = _sweep_segments(prefix)
-            if swept:
-                metrics.inc("fanin.segments_swept", swept)
+    if pending:
+        stuck = sorted(pending)[0]
+        raise ReproError(
+            "day-shard fan-in incomplete: "
+            f"{stuck.isoformat()} received "
+            f"{len(pending[stuck])} of {day_shards} parts"
+        )
     return payloads

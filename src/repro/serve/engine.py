@@ -292,8 +292,6 @@ class QueryEngine:
         include_inference: bool = True,
         step_days: int = 1,
         jobs: Optional[int] = None,
-        cache_dir: Optional[str] = None,
-        kernel: str = "columnar",
         incremental: bool = False,
         journal_dir: Optional[str] = None,
         store_dir: Optional[str] = None,
@@ -306,8 +304,8 @@ class QueryEngine:
         """Load every serveable dataset from a simulated world.
 
         The expensive part is the delegation inference sweep; it honors
-        the same ``jobs``/``cache_dir``/``kernel``/``store_dir`` knobs
-        as the batch CLI (``--no-infer`` on the CLI maps to
+        the same ``jobs``/``store_dir``/``day_shards`` knobs as the
+        batch CLI (``--no-infer`` on the CLI maps to
         ``include_inference=False`` for an instant, delegation-less
         start).  With ``incremental=True`` the sweep runs in
         day-over-day delta mode and the engine keeps the resulting
@@ -338,9 +336,7 @@ class QueryEngine:
                     as2org=world.as2org(),
                     step_days=step_days,
                     jobs=jobs,
-                    cache_dir=cache_dir,
                     metrics=metrics,
-                    kernel=kernel,
                     incremental=incremental,
                     journal_dir=journal_dir,
                     store_dir=store_dir,

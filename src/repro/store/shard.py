@@ -28,16 +28,16 @@ Layout (all little-endian)::
 
 Shards are *pre-filter inputs* — the day's observed pairs before any
 inference step runs — so the content address deliberately excludes the
-inference config and kernel: every config sweep, both kernels, and the
-incremental delta path all share one store.  That is also what
-separates the store from the v2 result cache (which keys on the
-config and stores post-filter quads): a store survives ablation
-sweeps untouched, a result cache does not.
+inference config: every config sweep and the incremental delta path
+share one store.  That is also what separates input shards from the
+store's result shards (which key on the config and hold post-filter
+quads): input shards survive ablation sweeps untouched, result shards
+do not.
 
 Writes are atomic (write to ``<name>.tmp.<pid>``, then
 ``os.replace``), so concurrent writers race benignly — both produce
 identical bytes for the same key and readers only ever see a complete
-file.  Anything else (torn tails, foreign magic, a v2 cache entry
+file.  Anything else (torn tails, foreign magic, a v2 result payload
 dropped into the store, a truncated map) is detected by the header
 and length checks, counted on ``store.malformed``, and treated as a
 miss.
@@ -145,7 +145,6 @@ def sweep_stale_temporaries(
     base: Union[str, pathlib.Path],
     *,
     metrics: MetricsRegistry = NULL,
-    counter: str = "store.tmp_swept",
     max_age_seconds: float = STALE_TMP_SECONDS,
 ) -> int:
     """Delete orphaned atomic-write temporaries under ``base``.
@@ -153,7 +152,8 @@ def sweep_stale_temporaries(
     A crash between the temporary write and the ``os.replace`` leaks
     one ``*.tmp.<pid>`` file; this removes any such file older than
     ``max_age_seconds`` (young ones may belong to a concurrent live
-    writer).  Returns the number removed and bumps ``counter``.
+    writer).  Returns the number removed and bumps
+    ``store.tmp_swept``.
     """
     base = pathlib.Path(base)
     if not base.is_dir():
@@ -169,7 +169,7 @@ def sweep_stale_temporaries(
             continue  # raced with the owner finishing or another sweep
         removed += 1
     if removed:
-        metrics.inc(counter, removed)
+        metrics.inc("store.tmp_swept", removed)
         logger.info("swept %d stale temporaries under %s", removed, base)
     return removed
 
@@ -177,10 +177,10 @@ def sweep_stale_temporaries(
 class ShardStore:
     """Content-addressed per-day shard files under one directory.
 
-    ``input_fingerprint`` identifies the input data exactly as the v2
-    result cache's key does (``StreamFactory.fingerprint()``); shard
-    keys hash ``(schema, input, date)`` and nothing else, so the store
-    is shared across inference configs and kernels.
+    ``input_fingerprint`` identifies the input data
+    (``StreamFactory.fingerprint()``); input-shard keys hash
+    ``(schema, input, date)`` and nothing else, so the store is shared
+    across inference configs.
 
     Loaded tables are zero-copy views over read-only maps; each view
     keeps its map (and file) alive for as long as the table is
@@ -219,8 +219,8 @@ class ShardStore:
 
     def path(self, date: datetime.date) -> pathlib.Path:
         key = self.key(date)
-        # Same two-level fan-out as the result cache: multi-year
-        # sweeps never pile thousands of files into one directory.
+        # Two-level fan-out, like the result shards: multi-year sweeps
+        # never pile thousands of files into one directory.
         return self.directory / key[:2] / f"{key}.shard"
 
     # -- read ----------------------------------------------------------
@@ -303,13 +303,13 @@ class ShardStore:
     # -- result shards -------------------------------------------------
     #
     # A second namespace under the same directory: *post-filter* per-day
-    # results in the runner's v2 cache payload layout (RPD2 quads), used
-    # by the zero-copy fan-in as a write-through result cache.  Unlike
-    # the input shards above — keyed on the input only — result shards
-    # are keyed on the runner's config-hash digest (the same
-    # ``_cache_key`` the v2 cache uses), because filter output depends
-    # on the inference configuration.  The store treats the payload as
-    # opaque bytes; the runner owns the codec and its validation.
+    # results in the runner's v2 payload layout (RPD2 quads), written
+    # through by every full sweep and mapped back zero-copy on the next
+    # one.  Unlike the input shards above — keyed on the input only —
+    # result shards are keyed on the runner's config-hash digest
+    # (``_cache_key``), because filter output depends on the inference
+    # configuration.  The store treats the payload as opaque bytes; the
+    # runner owns the codec and its validation.
 
     def result_path(self, key: str) -> pathlib.Path:
         """Where the result shard for one config-hash key lives."""

@@ -1,9 +1,10 @@
-"""Tests for the compact v2 binary cache encoding.
+"""Tests for the compact v2 binary per-day result encoding.
 
 Contract: exact round-trip of (date, delegation quads, attrition
-counters); everything torn, truncated, or foreign — including v1
-JSON-era entries — decodes to ``None`` (a cache miss), never to a
-wrong payload.
+counters) through the one RPD2 decoder and through the shard store's
+result shards; everything torn, truncated, or foreign — including v1
+JSON-era entries — decodes to ``None`` (a miss), never to a wrong
+payload.
 """
 
 import datetime
@@ -18,14 +19,47 @@ from repro.delegation.runner import (
     _CACHE_MAGIC,
     _COUNTER_FIELDS,
     CACHE_SCHEMA,
-    _cache_read,
-    _cache_write,
+    _FanInReceiver,
     _decode_payload,
     _encode_payload,
+    _result_shard_read,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.store import ShardStore
 
 D = datetime.date
+
+KEY = "ab" + "0" * 62
+
+
+def _plain(payload):
+    """A decoded payload in the encoder's input form."""
+    if payload is None:
+        return None
+    return {
+        "date": payload["date"],
+        "delegations": list(payload["delegations"]),
+        "counters": payload["counters"],
+    }
+
+
+def _round_trip(payload):
+    return _plain(_decode_payload(_encode_payload(payload)))
+
+
+def _store(tmp_path, metrics=None):
+    if metrics is None:
+        metrics = MetricsRegistry()
+    return ShardStore(tmp_path / "store", "f" * 64, metrics=metrics)
+
+
+def _read(store):
+    """One result-shard probe, with the buffers released afterwards."""
+    receiver = _FanInReceiver()
+    try:
+        return _plain(_result_shard_read(store, KEY, receiver))
+    finally:
+        receiver.close()
 
 
 def _payload(quads=None):
@@ -49,11 +83,11 @@ def _payload(quads=None):
 class TestRoundTrip:
     def test_encode_decode_round_trip(self):
         payload = _payload()
-        assert _decode_payload(_encode_payload(payload)) == payload
+        assert _round_trip(payload) == payload
 
     def test_empty_day(self):
         payload = _payload(quads=[])
-        assert _decode_payload(_encode_payload(payload)) == payload
+        assert _round_trip(payload) == payload
 
     def test_record_size_is_16_bytes(self):
         empty = _encode_payload(_payload(quads=[]))
@@ -64,18 +98,25 @@ class TestRoundTrip:
     def test_extreme_values(self):
         payload = _payload(quads=[(0xFFFFFFFF, 0, 0xFFFFFFFF, 0)])
         payload["counters"]["pairs_seen"] = 2 ** 63
-        assert _decode_payload(_encode_payload(payload)) == payload
+        assert _round_trip(payload) == payload
 
     def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "cache" / "entry.bin"
-        _cache_write(path, _payload())
-        assert _cache_read(path) == _payload()
+        store = _store(tmp_path)
+        path = store.write_result(KEY, _encode_payload(_payload()))
+        assert _read(store) == _payload()
         assert not list(path.parent.glob("*.tmp.*"))  # atomic, no litter
+
+    def test_decoder_accepts_any_buffer(self):
+        data = _encode_payload(_payload())
+        for buffer in (data, bytearray(data), memoryview(data)):
+            decoded = _decode_payload(buffer)
+            assert _plain(decoded) == _payload()
+            assert bytes(decoded["raw"]) == data
 
 
 class TestRejection:
     def test_missing_file_is_miss(self, tmp_path):
-        assert _cache_read(tmp_path / "absent.bin") is None
+        assert _read(_store(tmp_path)) is None
 
     def test_truncated_header(self):
         data = _encode_payload(_payload())
@@ -112,23 +153,25 @@ class TestRejection:
         assert _decode_payload(bytes(data)) is None
 
     def test_corrupt_file_logged_as_miss(self, tmp_path, caplog):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x00" * 10)
+        store = _store(tmp_path)
+        store.write_result(KEY, b"\x00" * 10)
         with caplog.at_level("WARNING", logger="repro.delegation.runner"):
-            assert _cache_read(path) is None
+            assert _read(store) is None
         assert any("malformed" in r.message for r in caplog.records)
 
     def test_corrupt_file_bumps_malformed_counter(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x00" * 10)
         metrics = MetricsRegistry()
-        assert _cache_read(path, metrics) is None
-        assert metrics.counter("cache.malformed") == 1
+        store = _store(tmp_path, metrics)
+        store.write_result(KEY, b"\x00" * 10)
+        assert _read(store) is None
+        assert metrics.counter("store.malformed") == 1
+        assert metrics.counter("store.result_misses") == 1
 
     def test_missing_file_does_not_count_as_malformed(self, tmp_path):
         metrics = MetricsRegistry()
-        assert _cache_read(tmp_path / "absent.bin", metrics) is None
-        assert metrics.counter("cache.malformed") == 0
+        assert _read(_store(tmp_path, metrics)) is None
+        assert metrics.counter("store.malformed") == 0
+        assert metrics.counter("store.result_misses") == 1
 
 
 class TestAtomicWrite:
@@ -144,16 +187,17 @@ class TestAtomicWrite:
             calls.append(os.fspath(src))
             original(src, dst)
 
-        path = tmp_path / "ab" / "abcdef.bin"
+        store = _store(tmp_path)
+        path = store.result_path(KEY)
         try:
             os.replace = spy
-            _cache_write(path, _payload())
+            store.write_result(KEY, _encode_payload(_payload()))
         finally:
             os.replace = original
         assert calls == [
-            str(path.with_name(f"abcdef.bin.tmp.{os.getpid()}"))
+            str(path.with_name(f"{path.name}.tmp.{os.getpid()}"))
         ]
-        assert _cache_read(path) == _payload()
+        assert _read(store) == _payload()
 
 
 class TestLayout:

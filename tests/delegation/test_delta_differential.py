@@ -1,8 +1,9 @@
 """Differential tests: incremental delta sweeps vs. full recompute.
 
 The incremental runner (``incremental=True``) is a pure performance
-change — for every simulation scenario and against both full-sweep
-kernels its output must be byte-identical (the JSONL result file) with
+change — for every simulation scenario and against both the full
+columnar sweep and the trie reference kernel its output must be
+byte-identical (the JSONL result file) with
 every attrition counter in exact agreement, through the in-process
 path, the process-pool path (``jobs=2``), a warm journal replay, and
 a mid-sweep crash resumed from the journal.
@@ -21,6 +22,7 @@ from repro.delegation import (
 from repro.delegation.delta import DeltaJournal, journal_key, journal_path
 from repro.errors import ReproError
 from repro.simulation import World, small_scenario
+from tests.delegation.reference_kernel import ReferenceInference
 
 D = datetime.date
 
@@ -49,15 +51,16 @@ def window(scenario):
 
 @pytest.fixture(scope="module")
 def full_by_kernel(scenario, as2org, window):
-    """Full recompute through both per-day kernels."""
+    """Full recompute: the runner's columnar kernel and the reference."""
     start, end = window
     return {
-        kernel: run_inference(
+        "columnar": run_inference(
             WorldStreamFactory(scenario), start, end,
-            InferenceConfig.extended(), as2org=as2org,
-            jobs=1, kernel=kernel,
-        )
-        for kernel in ("columnar", "object")
+            InferenceConfig.extended(), as2org=as2org, jobs=1,
+        ),
+        "reference": ReferenceInference(
+            InferenceConfig.extended(), as2org
+        ).infer_range(World(scenario).stream(), start, end),
     }
 
 
@@ -85,7 +88,7 @@ def _assert_identical(incremental, full, tmp_path):
 
 
 class TestIncrementalDifferential:
-    @pytest.mark.parametrize("kernel", ["columnar", "object"])
+    @pytest.mark.parametrize("kernel", ["columnar", "reference"])
     def test_byte_identical_to_both_kernels(
         self, scenario, as2org, window, full_by_kernel, kernel, tmp_path
     ):

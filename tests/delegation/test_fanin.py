@@ -1,11 +1,11 @@
 """Tests for the zero-copy result fan-in and per-/8 day sharding.
 
-The contract: ``fanin="shm"`` and ``day_shards > 1`` are pure
-transport/scheduling changes — output bytes and attrition counters are
-identical to the pickled, whole-day baseline for both kernels, with or
-without the stores — and no exit path (completion, worker crash,
-interrupt) leaks a shared-memory segment or trips the resource
-tracker.
+The contract: the shared-memory transport and ``day_shards > 1`` are
+pure transport/scheduling changes — output bytes and attrition
+counters are identical to the pickled fallback (what a worker returns
+when it cannot get a segment) and to whole-day runs, with or without
+the store — and no exit path (completion, worker crash, interrupt)
+leaks a shared-memory segment or trips the resource tracker.
 """
 
 import datetime
@@ -23,6 +23,7 @@ from repro.delegation import (
     run_inference,
     write_daily_delegations,
 )
+from repro.delegation import runner
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation import World, small_scenario
@@ -73,33 +74,48 @@ def _segments():
     return {path.name for path in SHM_DIR.glob("rpfi*")}
 
 
+@pytest.fixture()
+def no_segments(monkeypatch):
+    """Workers cannot get a segment, as on a host without /dev/shm.
+
+    Patched before the pool forks, so every worker inherits it: result
+    chunks and delta seeds both take the pickled fallback.
+    """
+    monkeypatch.setattr(
+        runner, "_create_worker_segment", lambda size, prefix: None
+    )
+
+
 @pytest.fixture(scope="module")
 def pickle_baseline(factory, as2org, tmp_path_factory):
+    """A jobs=1 run: nothing crosses a process boundary at all."""
     base = tmp_path_factory.mktemp("fanin-baseline")
-    outputs = {}
-    for kernel in ("columnar", "object"):
-        result = _run(
-            factory, as2org, jobs=2, kernel=kernel, fanin="pickle"
-        )
-        outputs[kernel] = (
-            _daily_bytes(result, base / f"{kernel}.jsonl"),
-            _counters(result),
-        )
-    assert outputs["columnar"] == outputs["object"]
-    return outputs
+    result = _run(factory, as2org, jobs=1)
+    return (
+        _daily_bytes(result, base / "inline.jsonl"),
+        _counters(result),
+    )
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("kernel", ["columnar", "object"])
     def test_shm_matches_pickle(
-        self, factory, as2org, pickle_baseline, tmp_path, kernel
+        self, factory, as2org, pickle_baseline, tmp_path
     ):
-        result = _run(
-            factory, as2org, jobs=2, kernel=kernel, fanin="shm"
-        )
+        result = _run(factory, as2org, jobs=2)
         assert _daily_bytes(result, tmp_path / "out.jsonl") == \
-            pickle_baseline[kernel][0]
-        assert _counters(result) == pickle_baseline[kernel][1]
+            pickle_baseline[0]
+        assert _counters(result) == pickle_baseline[1]
+
+    def test_pickled_fallback_matches(
+        self, factory, as2org, pickle_baseline, tmp_path, no_segments
+    ):
+        metrics = MetricsRegistry()
+        result = _run(factory, as2org, jobs=2, metrics=metrics)
+        assert _daily_bytes(result, tmp_path / "out.jsonl") == \
+            pickle_baseline[0]
+        assert _counters(result) == pickle_baseline[1]
+        assert metrics.gauge("fanin.pickled_kb") > 0
+        assert metrics.gauge("fanin.shm_kb") == 0
 
     @pytest.mark.parametrize("day_shards", [2, 3, 7])
     def test_day_shards_match_whole_days(
@@ -109,26 +125,28 @@ class TestByteIdentity:
             factory, as2org, jobs=2, day_shards=day_shards,
         )
         assert _daily_bytes(result, tmp_path / "out.jsonl") == \
-            pickle_baseline["columnar"][0]
-        assert _counters(result) == pickle_baseline["columnar"][1]
+            pickle_baseline[0]
+        assert _counters(result) == pickle_baseline[1]
 
     def test_day_shards_compose_with_store_and_cache(
         self, factory, as2org, pickle_baseline, tmp_path
     ):
-        kwargs = dict(
-            jobs=2, day_shards=3,
-            store_dir=tmp_path / "store", cache_dir=tmp_path / "cache",
-        )
-        cold = _run(factory, as2org, **kwargs)
+        kwargs = dict(jobs=2, day_shards=3, store_dir=tmp_path / "store")
+        days = (END - START).days
+        cold_metrics = MetricsRegistry()
+        cold = _run(factory, as2org, metrics=cold_metrics, **kwargs)
         assert _daily_bytes(cold, tmp_path / "cold.jsonl") == \
-            pickle_baseline["columnar"][0]
+            pickle_baseline[0]
+        # Sharded days still land whole in the store: one input shard
+        # and one merged result shard per day.
+        assert cold_metrics.counter("store.writes") == days
+        assert cold_metrics.counter("store.result_writes") == days
         metrics = MetricsRegistry()
         warm = _run(factory, as2org, metrics=metrics, **kwargs)
         assert _daily_bytes(warm, tmp_path / "warm.jsonl") == \
-            pickle_baseline["columnar"][0]
-        assert _counters(warm) == pickle_baseline["columnar"][1]
+            pickle_baseline[0]
+        assert _counters(warm) == pickle_baseline[1]
         # Warm days come off mapped result shards, not the kernel.
-        days = (END - START).days
         assert metrics.counters().get("store.result_hits") == days
 
     def test_incremental_shm_seed_matches(
@@ -136,38 +154,41 @@ class TestByteIdentity:
     ):
         metrics = MetricsRegistry()
         result = _run(
-            factory, as2org, jobs=2, incremental=True, fanin="shm",
-            metrics=metrics,
+            factory, as2org, jobs=2, incremental=True, metrics=metrics,
         )
         assert _daily_bytes(result, tmp_path / "inc.jsonl") == \
-            pickle_baseline["columnar"][0]
+            pickle_baseline[0]
         # The seed crossed via a segment, so nothing materialized.
         assert metrics.counters().get("pairtable.materialized", 0) == 0
+        assert metrics.gauge("fanin.shm_kb") > 0
 
     def test_incremental_pickle_seed_materializes(
-        self, factory, as2org, pickle_baseline, tmp_path
+        self, factory, as2org, pickle_baseline, tmp_path, no_segments
     ):
         metrics = MetricsRegistry()
         result = _run(
-            factory, as2org, jobs=2, incremental=True, fanin="pickle",
-            metrics=metrics,
+            factory, as2org, jobs=2, incremental=True, metrics=metrics,
         )
         assert _daily_bytes(result, tmp_path / "inc.jsonl") == \
-            pickle_baseline["columnar"][0]
+            pickle_baseline[0]
+        # No segment for the seed: the table itself crossed pickled.
+        assert metrics.gauge("fanin.shm_kb") == 0
 
 
 class TestTransportAccounting:
     def test_shm_run_reports_segment_bytes(self, factory, as2org):
         metrics = MetricsRegistry()
-        _run(factory, as2org, jobs=2, fanin="shm", metrics=metrics)
+        _run(factory, as2org, jobs=2, metrics=metrics)
         gauges = metrics.gauges()
         assert gauges.get("fanin.shm_kb", 0) > 0
         assert gauges.get("fanin.pickled_kb") == 0
         assert metrics.counters().get("pairtable.materialized", 0) == 0
 
-    def test_pickle_run_reports_pickled_bytes(self, factory, as2org):
+    def test_pickle_run_reports_pickled_bytes(
+        self, factory, as2org, no_segments
+    ):
         metrics = MetricsRegistry()
-        _run(factory, as2org, jobs=2, fanin="pickle", metrics=metrics)
+        _run(factory, as2org, jobs=2, metrics=metrics)
         gauges = metrics.gauges()
         assert gauges.get("fanin.shm_kb") == 0
         assert gauges.get("fanin.pickled_kb", 0) > 0
@@ -175,16 +196,13 @@ class TestTransportAccounting:
 
 class TestValidation:
     def test_unknown_fanin_mode(self, factory, as2org):
-        with pytest.raises(ReproError, match="fan-in mode"):
-            _run(factory, as2org, fanin="carrier-pigeon")
+        # There is one transport, so no mode can be selected.
+        with pytest.raises(TypeError):
+            _run(factory, as2org, fanin="pickle")
 
     def test_day_shards_must_be_positive(self, factory, as2org):
         with pytest.raises(ReproError, match="day_shards"):
             _run(factory, as2org, day_shards=0)
-
-    def test_day_shards_need_columnar(self, factory, as2org):
-        with pytest.raises(ReproError, match="columnar"):
-            _run(factory, as2org, day_shards=2, kernel="object")
 
     def test_day_shards_exclude_incremental(self, factory, as2org):
         with pytest.raises(ReproError, match="incremental"):
@@ -208,7 +226,7 @@ class _InterruptingStreamFactory:
 class TestSegmentLifecycle:
     def test_no_segments_after_completion(self, factory, as2org):
         before = _segments()
-        _run(factory, as2org, jobs=2, fanin="shm", day_shards=2)
+        _run(factory, as2org, jobs=2, day_shards=2)
         assert _segments() == before
 
     def test_no_segments_after_worker_crash(self, as2org):
@@ -217,7 +235,7 @@ class TestSegmentLifecycle:
             run_inference(
                 _DyingStreamFactory(), START, END,
                 InferenceConfig.extended(), as2org=as2org,
-                jobs=2, fanin="shm",
+                jobs=2,
             )
         assert _segments() == before
 
@@ -227,7 +245,7 @@ class TestSegmentLifecycle:
             run_inference(
                 _InterruptingStreamFactory(), START, END,
                 InferenceConfig.extended(), as2org=as2org,
-                jobs=2, fanin="shm",
+                jobs=2,
             )
         assert _segments() == before
 
@@ -249,7 +267,7 @@ class TestSegmentLifecycle:
                 WorldStreamFactory(scenario), start, end,
                 InferenceConfig.extended(),
                 as2org=World(scenario).as2org(),
-                jobs=2, fanin="shm", day_shards=2,
+                jobs=2, day_shards=2,
             )
         """)
         env = dict(os.environ)

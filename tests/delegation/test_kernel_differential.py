@@ -1,7 +1,8 @@
-"""Differential tests: columnar kernel vs. the object reference path.
+"""Differential tests: columnar kernel vs. the trie reference kernel.
 
-The columnar kernel is a pure performance change — its outputs must be
-byte-identical to the object/trie path, with every attrition counter
+The columnar kernel replaced the original object/trie implementation
+as a pure performance change — its outputs must be byte-identical to
+that reference (``reference_kernel.py``), with every attrition counter
 (bogon, visibility, non-unique origin, same-org) in exact agreement,
 both through the sequential API and through the parallel runner.
 """
@@ -22,9 +23,9 @@ from repro.delegation import (
     run_inference,
     write_daily_delegations,
 )
-from repro.errors import ReproError
 from repro.netbase.prefix import IPv4Prefix
 from repro.simulation import World, small_scenario
+from tests.delegation.reference_kernel import ReferenceInference
 
 D = datetime.date
 
@@ -67,25 +68,23 @@ class TestSequentialDifferential:
     def test_byte_identical_and_counter_parity(
         self, world, as2org, tmp_path, config
     ):
-        columnar = DelegationInference(
-            config, as2org, kernel="columnar"
-        ).infer_range(world.stream(), START, END)
-        reference = DelegationInference(
-            config, as2org, kernel="object"
-        ).infer_range(world.stream(), START, END)
+        columnar = DelegationInference(config, as2org).infer_range(
+            world.stream(), START, END
+        )
+        reference = ReferenceInference(config, as2org).infer_range(
+            world.stream(), START, END
+        )
         assert _daily_bytes(columnar, tmp_path / "col.jsonl") == \
-            _daily_bytes(reference, tmp_path / "obj.jsonl")
+            _daily_bytes(reference, tmp_path / "ref.jsonl")
         assert _counters(columnar) == _counters(reference)
         assert columnar.observation_dates == reference.observation_dates
 
-    def test_kernel_property_and_validation(self, as2org):
+    def test_kernel_property_and_validation(self):
+        # One kernel: there is nothing left to select or report.
         baseline = InferenceConfig.baseline()
-        assert DelegationInference(
-            baseline, kernel="object"
-        ).kernel == "object"
-        assert DelegationInference(baseline).kernel == "columnar"
-        with pytest.raises(ReproError, match="kernel"):
-            DelegationInference(baseline, kernel="simd")
+        assert not hasattr(DelegationInference(baseline), "kernel")
+        with pytest.raises(TypeError):
+            DelegationInference(baseline, kernel="object")
 
 
 class TestBogonDifferential:
@@ -121,16 +120,18 @@ class TestBogonDifferential:
 
         config = InferenceConfig.baseline()
         results = {}
-        for kernel in ("columnar", "object"):
-            inference = DelegationInference(config, kernel=kernel)
+        for name, inference in [
+            ("columnar", DelegationInference(config)),
+            ("reference", ReferenceInference(config)),
+        ]:
             pairs = stream.pairs_on(D(2020, 1, 1))
             result = InferenceResult(DailyDelegations(), config)
             delegations = inference.infer_day_from_pairs(
                 pairs, stream.monitor_count(), D(2020, 1, 1), result,
                 pre_sanitized=False,
             )
-            results[kernel] = (delegations, result)
-        columnar, reference = results["columnar"], results["object"]
+            results[name] = (delegations, result)
+        columnar, reference = results["columnar"], results["reference"]
         assert sorted(d.key() for d in columnar[0]) == \
             sorted(d.key() for d in reference[0])
         assert _counters(columnar[1]) == _counters(reference[1])
@@ -153,43 +154,26 @@ class TestBogonDifferential:
 
 class TestRunnerDifferential:
     def test_parallel_runner_matches_across_kernels(
-        self, as2org, tmp_path
+        self, world, as2org, tmp_path
     ):
-        outputs = {}
-        for kernel in ("columnar", "object"):
-            result = run_inference(
-                WorldStreamFactory(SCENARIO), START, END,
-                InferenceConfig.extended(), as2org=as2org,
-                jobs=2, kernel=kernel,
-            )
-            outputs[kernel] = (
-                _daily_bytes(result, tmp_path / f"{kernel}.jsonl"),
-                _counters(result),
-            )
-        assert outputs["columnar"] == outputs["object"]
-
-    def test_kernels_share_cache_entries(self, as2org, tmp_path):
-        # Byte-identical outputs mean the kernel must NOT participate
-        # in the cache key: a columnar run primes the object run.
-        cache = tmp_path / "cache"
-        factory = WorldStreamFactory(SCENARIO)
-        run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache, kernel="columnar",
+        result = run_inference(
+            WorldStreamFactory(SCENARIO), START, END,
+            InferenceConfig.extended(), as2org=as2org, jobs=2,
         )
-        warm = run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache, kernel="object",
-        )
-        assert warm.runner_stats.days_from_cache == 15
-        assert warm.runner_stats.days_computed == 0
+        reference = ReferenceInference(
+            InferenceConfig.extended(), as2org
+        ).infer_range(world.stream(), START, END)
+        assert _daily_bytes(result, tmp_path / "runner.jsonl") == \
+            _daily_bytes(reference, tmp_path / "reference.jsonl")
+        assert _counters(result) == _counters(reference)
 
     def test_bad_kernel_rejected(self, as2org):
-        with pytest.raises(ReproError, match="kernel"):
+        # The runner has no kernel switch left to pass a name to.
+        with pytest.raises(TypeError):
             run_inference(
                 WorldStreamFactory(SCENARIO), START, END,
                 InferenceConfig.extended(), as2org=as2org,
-                jobs=1, kernel="vector",
+                jobs=1, kernel="object",
             )
 
 

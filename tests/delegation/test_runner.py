@@ -1,9 +1,9 @@
-"""Tests for the parallel, cached inference runner.
+"""Tests for the parallel inference runner.
 
 The contract under test: the runner's output is byte-identical to the
-sequential pipeline, the cache keys follow the configuration (hits
-when only step (v) changes, misses when steps (i)-(iv) change), and
-worker failures surface as :class:`ReproError` instead of hanging.
+sequential pipeline, the result-shard keys follow the configuration
+(hits when only step (v) changes, misses when steps (i)-(iv) change),
+and worker failures surface as :class:`ReproError` instead of hanging.
 """
 
 import dataclasses
@@ -24,6 +24,7 @@ from repro.delegation import (
 )
 from repro.delegation.consistency import ConsistencyRule
 from repro.errors import ReproError
+from repro.obs.metrics import MetricsRegistry
 from repro.simulation import World, small_scenario
 
 D = datetime.date
@@ -124,22 +125,24 @@ class TestEquivalence:
         assert stats.days_total == 15
         assert stats.days_computed == 15
         assert stats.days_from_cache == 0
-        assert stats.cache_dir is None
+        assert stats.store_dir is None
 
 
 class TestCache:
+    """The persistent per-day tier: result shards in the shard store."""
+
     def test_cold_then_warm(self, as2org, tmp_path):
         factory = WorldStreamFactory(SCENARIO)
-        cache = tmp_path / "cache"
+        store = tmp_path / "store"
         cold = run_inference(
             factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+            as2org=as2org, jobs=1, store_dir=store,
         )
         assert cold.runner_stats.days_computed == 15
         assert cold.runner_stats.days_from_cache == 0
         warm = run_inference(
             factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+            as2org=as2org, jobs=1, store_dir=store,
         )
         assert warm.runner_stats.days_computed == 0
         assert warm.runner_stats.days_from_cache == 15
@@ -150,79 +153,116 @@ class TestCache:
 
     def test_config_change_misses(self, as2org, tmp_path):
         factory = WorldStreamFactory(SCENARIO)
-        cache = tmp_path / "cache"
+        store = tmp_path / "store"
         run_inference(
             factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+            as2org=as2org, jobs=1, store_dir=store,
         )
         changed = run_inference(
             factory, START, END,
             InferenceConfig(visibility_threshold=0.25),
-            as2org=as2org, jobs=1, cache_dir=cache,
+            as2org=as2org, jobs=1, store_dir=store,
         )
         assert changed.runner_stats.days_from_cache == 0
         assert changed.runner_stats.days_computed == 15
 
     def test_consistency_rule_change_still_hits(self, as2org, tmp_path):
         # Step (v) runs after the fan-in: sweeping (M, N) must reuse
-        # every per-day entry.
+        # every per-day result shard.
         factory = WorldStreamFactory(SCENARIO)
-        cache = tmp_path / "cache"
+        store = tmp_path / "store"
         run_inference(
             factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+            as2org=as2org, jobs=1, store_dir=store,
         )
         swept = run_inference(
             factory, START, END,
             InferenceConfig(consistency_rule=ConsistencyRule(5, 1)),
-            as2org=as2org, jobs=1, cache_dir=cache,
+            as2org=as2org, jobs=1, store_dir=store,
         )
         assert swept.runner_stats.days_from_cache == 15
 
     def test_input_change_misses(self, as2org, tmp_path):
-        cache = tmp_path / "cache"
+        store = tmp_path / "store"
         run_inference(
             WorldStreamFactory(SCENARIO), START, END,
             InferenceConfig.extended(), as2org=as2org,
-            jobs=1, cache_dir=cache,
+            jobs=1, store_dir=store,
         )
         other_scenario = dataclasses.replace(SCENARIO, seed=7)
         other_world = World(other_scenario)
         other = run_inference(
             WorldStreamFactory(other_scenario), START, END,
             InferenceConfig.extended(), as2org=other_world.as2org(),
-            jobs=1, cache_dir=cache,
+            jobs=1, store_dir=store,
         )
         assert other.runner_stats.days_from_cache == 0
 
     def test_corrupt_entry_recomputed(self, as2org, tmp_path):
         factory = WorldStreamFactory(SCENARIO)
-        cache = tmp_path / "cache"
+        store = tmp_path / "store"
         first = run_inference(
             factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+            as2org=as2org, jobs=1, store_dir=store,
         )
-        entries = sorted(cache.rglob("*.bin"))
+        entries = sorted((store / "results").rglob("*.rpd"))
         assert len(entries) == 15
         # Truncated body and a foreign (old-JSON-era) payload must
         # both read as misses, never as wrong results.
         entries[0].write_bytes(entries[0].read_bytes()[:-3])
         entries[1].write_text(json.dumps({"schema": 1}), encoding="utf-8")
+        metrics = MetricsRegistry()
         healed = run_inference(
             factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+            as2org=as2org, jobs=1, store_dir=store, metrics=metrics,
         )
         assert healed.runner_stats.days_from_cache == 13
         assert healed.runner_stats.days_computed == 2
+        assert metrics.counter("store.malformed") == 2
         for date in first.daily.dates():
             assert healed.daily.on(date) == first.daily.on(date)
+
+    def test_corrupt_result_shard_is_recomputed(self, as2org, tmp_path):
+        from repro.delegation.runner import _cache_key
+        from repro.store import ShardStore
+
+        factory = WorldStreamFactory(SCENARIO)
+        store_dir = tmp_path / "store"
+        first = run_inference(
+            factory, START, END, InferenceConfig.extended(),
+            as2org=as2org, jobs=1, store_dir=store_dir,
+        )
+        store = ShardStore(store_dir, factory.fingerprint())
+        key = _cache_key(
+            InferenceConfig.extended(), START, factory.fingerprint(),
+            as2org.fingerprint(),
+        )
+        path = store.result_path(key)
+        path.write_bytes(path.read_bytes()[:-5])
+        metrics = MetricsRegistry()
+        healed = run_inference(
+            factory, START, END, InferenceConfig.extended(),
+            as2org=as2org, jobs=1, store_dir=store_dir, metrics=metrics,
+        )
+        assert metrics.counter("store.malformed") == 1
+        assert metrics.counter("store.result_hits") == 14
+        assert healed.runner_stats.days_computed == 1
+        assert _daily_bytes(healed, tmp_path / "healed.jsonl") == \
+            _daily_bytes(first, tmp_path / "first.jsonl")
+        # The recompute wrote the shard back whole.
+        warm = MetricsRegistry()
+        run_inference(
+            factory, START, END, InferenceConfig.extended(),
+            as2org=as2org, jobs=1, store_dir=store_dir, metrics=warm,
+        )
+        assert warm.counter("store.result_hits") == 15
 
     def test_cache_requires_fingerprint(self, as2org, tmp_path):
         with pytest.raises(ReproError, match="fingerprint"):
             run_inference(
                 lambda: World(SCENARIO).stream(), START, END,
                 InferenceConfig.extended(), as2org=as2org,
-                jobs=1, cache_dir=tmp_path / "cache",
+                jobs=1, store_dir=tmp_path / "store",
             )
 
 
@@ -283,7 +323,7 @@ class TestArchiveFactory:
         result = run_inference(
             factory, START, START + datetime.timedelta(days=3),
             InferenceConfig.baseline(), jobs=1,
-            cache_dir=tmp_path / "cache",
+            store_dir=tmp_path / "store",
         )
         assert result.observation_dates == dates
         # Same days straight from the in-memory stream must agree.

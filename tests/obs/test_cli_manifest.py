@@ -93,10 +93,10 @@ class TestInferManifest:
         return load_manifest(path)
 
     def test_manifest_contents(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
+        store = tmp_path / "store"
         path = tmp_path / "m.json"
         argv = _INFER_ARGS + [
-            "--jobs", "1", "--cache-dir", str(cache),
+            "--jobs", "1", "--store", str(store),
             "--metrics-out", str(path),
         ]
         assert main(argv) == 0
@@ -129,10 +129,10 @@ class TestInferManifest:
             payload["cache"]["misses"]
         assert payload["extra"]["scale"] == "small"
 
-        # Warm re-run against the same cache flips the counters.
+        # Warm re-run against the same store flips the counters.
         path2 = tmp_path / "m2.json"
         assert main(_INFER_ARGS + [
-            "--jobs", "1", "--cache-dir", str(cache),
+            "--jobs", "1", "--store", str(store),
             "--metrics-out", str(path2),
         ]) == 0
         capsys.readouterr()

@@ -1,8 +1,8 @@
 """Shard-store failure matrix: every way a shard file can be wrong.
 
 Contract: a warm shard maps zero-copy and round-trips the table
-exactly; everything else — torn tails, foreign magic, a v2 cache
-entry dropped into the store, an unmappable file, a misdated rename —
+exactly; everything else — torn tails, foreign magic, a v2 result
+payload dropped into the input namespace, an unmappable file, a misdated rename —
 loads as a miss (never as a wrong table), bumps ``store.malformed``,
 and the day is recomputed.  Writes are atomic, so concurrent writers
 race benignly and readers only ever see complete files.
@@ -148,8 +148,8 @@ class TestFailureMatrix:
         self._assert_malformed_miss(store)
 
     def test_v2_cache_entry_in_the_store(self, store):
-        # A result-cache file dropped into the shard store (the magic
-        # collision the RPSHARD3 magic + schema check exists for).
+        # A result-shard payload dropped into the input namespace (the
+        # magic collision the RPSHARD3 magic + schema check exists for).
         entry = _encode_payload({
             "date": DAY,
             "delegations": [(0x0A000000, 24, 65001, 65002)],

@@ -2,13 +2,14 @@
 
 The shard store is a pure data-plane change — a sweep fed from
 memory-mapped shards must be byte-identical to one fed from live
-announcement records, for both kernels, sequential and through the
-mmap fan-out (workers opening the shard by path), and through the
-incremental delta path.  A warm store must serve every day as a hit
-without rebuilding the stream.
+announcement records, sequential and through the mmap fan-out
+(workers opening the shard by path), and through the incremental
+delta path.  A warm store must serve every day as a hit without
+rebuilding the stream.
 """
 
 import datetime
+import shutil
 
 import pytest
 
@@ -60,33 +61,27 @@ def _counters(result):
 
 
 @pytest.fixture(scope="module")
-def baselines(factory, as2org, tmp_path_factory):
-    """Storeless reference outputs, one per kernel."""
+def baseline(factory, as2org, tmp_path_factory):
+    """The storeless reference output and counters."""
     base = tmp_path_factory.mktemp("baselines")
-    outputs = {}
-    for kernel in ("columnar", "object"):
-        result = _run(factory, as2org, kernel=kernel, jobs=1)
-        outputs[kernel] = (
-            _result_bytes(result, base / f"{kernel}.jsonl"),
-            _counters(result),
-        )
-    # The two kernels agree with each other before the store enters.
-    assert outputs["columnar"] == outputs["object"]
-    return outputs
+    result = _run(factory, as2org, jobs=1)
+    return (
+        _result_bytes(result, base / "storeless.jsonl"),
+        _counters(result),
+    )
 
 
 class TestStoreBackedEquivalence:
-    @pytest.mark.parametrize("kernel", ["columnar", "object"])
     @pytest.mark.parametrize("jobs", [1, 2], ids=["seq", "pool"])
     def test_cold_store_matches_storeless(
-        self, factory, as2org, baselines, tmp_path, kernel, jobs
+        self, factory, as2org, baseline, tmp_path, jobs
     ):
         metrics = MetricsRegistry()
         result = _run(
-            factory, as2org, kernel=kernel, jobs=jobs,
+            factory, as2org, jobs=jobs,
             store_dir=tmp_path / "store", metrics=metrics,
         )
-        expected_bytes, expected_counters = baselines[kernel]
+        expected_bytes, expected_counters = baseline
         assert _result_bytes(result, tmp_path / "out.jsonl") == \
             expected_bytes
         assert _counters(result) == expected_counters
@@ -97,34 +92,31 @@ class TestStoreBackedEquivalence:
         assert counters.get("store.hits") is None
         assert counters.get("store.malformed") is None
 
-    @pytest.mark.parametrize("kernel", ["columnar", "object"])
     @pytest.mark.parametrize("jobs", [1, 2], ids=["seq", "pool"])
     def test_warm_store_matches_and_hits_every_day(
-        self, factory, as2org, baselines, tmp_path, kernel, jobs
+        self, factory, as2org, baseline, tmp_path, jobs
     ):
-        # fanin="pickle" disables the result-shard warm path, so this
-        # run must re-map every *input* shard (the path under test);
-        # the result-shard short-circuit has its own test below.
-        _run(
-            factory, as2org, jobs=1, store_dir=tmp_path / "store",
-            fanin="pickle",
-        )
+        # Without its result shards, a warm store must re-map every
+        # *input* shard (the path under test); the result-shard
+        # short-circuit has its own test below.
+        _run(factory, as2org, jobs=1, store_dir=tmp_path / "store")
+        shutil.rmtree(tmp_path / "store" / "results")
         metrics = MetricsRegistry()
         result = _run(
-            factory, as2org, kernel=kernel, jobs=jobs,
+            factory, as2org, jobs=jobs,
             store_dir=tmp_path / "store", metrics=metrics,
-            fanin="pickle",
         )
         assert _result_bytes(result, tmp_path / "out.jsonl") == \
-            baselines[kernel][0]
+            baseline[0]
         counters = metrics.counters()
         assert counters.get("store.hits") == DAYS
         assert counters.get("store.misses") is None
         assert counters.get("store.writes") is None
+        assert counters.get("store.result_misses") == DAYS
 
     @pytest.mark.parametrize("jobs", [1, 2], ids=["seq", "pool"])
     def test_warm_result_shards_skip_the_kernel(
-        self, factory, as2org, baselines, tmp_path, jobs
+        self, factory, as2org, baseline, tmp_path, jobs
     ):
         _run(factory, as2org, jobs=1, store_dir=tmp_path / "store")
         assert (tmp_path / "store" / "results").is_dir()
@@ -134,7 +126,7 @@ class TestStoreBackedEquivalence:
             store_dir=tmp_path / "store", metrics=metrics,
         )
         assert _result_bytes(result, tmp_path / "out.jsonl") == \
-            baselines["columnar"][0]
+            baseline[0]
         counters = metrics.counters()
         # Every day served straight from a mapped result shard: no
         # input-shard load, no kernel pass, nothing recomputed.
@@ -146,53 +138,62 @@ class TestStoreBackedEquivalence:
     def test_store_is_shared_across_kernels_and_configs(
         self, factory, as2org, tmp_path
     ):
-        # Warm with the columnar extended run, then read every day
-        # back under the object kernel and the baseline config: the
-        # content address excludes both.
+        # Warm with the extended full sweep, then read every day back
+        # under the baseline config and through the incremental delta
+        # path: the input shards' content address excludes both, while
+        # the result shards' includes the config.
         _run(factory, as2org, jobs=1, store_dir=tmp_path / "store")
         metrics = MetricsRegistry()
         run_inference(
             factory, START, END,
-            InferenceConfig.baseline(), as2org=as2org,
-            kernel="object", jobs=1,
+            InferenceConfig.baseline(), as2org=as2org, jobs=1,
             store_dir=tmp_path / "store", metrics=metrics,
         )
-        assert metrics.counters().get("store.hits") == DAYS
+        assert metrics.counter("store.hits") == DAYS
+        assert metrics.counter("store.result_misses") == DAYS
+        delta = MetricsRegistry()
+        _run(
+            factory, as2org, jobs=1, incremental=True,
+            store_dir=tmp_path / "store", metrics=delta,
+        )
+        assert delta.counter("store.hits") == DAYS
 
 
 class TestIncrementalEquivalence:
     @pytest.mark.parametrize("jobs", [1, 2], ids=["seq", "pool"])
     def test_incremental_store_backed_matches(
-        self, factory, as2org, baselines, tmp_path, jobs
+        self, factory, as2org, baseline, tmp_path, jobs
     ):
         cold = _run(
             factory, as2org, jobs=jobs, incremental=True,
             store_dir=tmp_path / "store",
         )
         assert _result_bytes(cold, tmp_path / "cold.jsonl") == \
-            baselines["columnar"][0]
+            baseline[0]
         warm = _run(
             factory, as2org, jobs=jobs, incremental=True,
             store_dir=tmp_path / "store",
         )
         assert _result_bytes(warm, tmp_path / "warm.jsonl") == \
-            baselines["columnar"][0]
+            baseline[0]
 
     def test_store_composes_with_the_result_cache(
-        self, factory, as2org, baselines, tmp_path
+        self, factory, as2org, baseline, tmp_path
     ):
-        # Both layers on: first run fills both, second run is served
-        # entirely by the result cache (which sits in front).
-        kwargs = dict(
-            jobs=1,
-            cache_dir=tmp_path / "cache",
-            store_dir=tmp_path / "store",
-        )
-        _run(factory, as2org, **kwargs)
+        # An incremental sweep fills the input shards only; the full
+        # sweep after it maps them and writes the result shards, and
+        # the one after that is served entirely by the result shards.
+        kwargs = dict(jobs=1, store_dir=tmp_path / "store")
+        _run(factory, as2org, incremental=True, **kwargs)
+        assert not (tmp_path / "store" / "results").exists()
+        full = MetricsRegistry()
+        _run(factory, as2org, metrics=full, **kwargs)
+        assert full.counter("store.hits") == DAYS
+        assert full.counter("store.result_writes") == DAYS
         metrics = MetricsRegistry()
         result = _run(factory, as2org, metrics=metrics, **kwargs)
         assert _result_bytes(result, tmp_path / "out.jsonl") == \
-            baselines["columnar"][0]
+            baseline[0]
         counters = metrics.counters()
         assert counters.get("runner.cache.hits") == DAYS
         assert counters.get("store.misses") is None

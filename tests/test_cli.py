@@ -24,14 +24,21 @@ class TestParser:
         assert args.horizon_years == 5.0
 
     def test_runner_flags(self):
-        args = build_parser().parse_args(
-            ["infer", "--jobs", "4", "--cache-dir", "/tmp/c"]
-        )
-        assert args.jobs == 4
-        assert args.cache_dir == "/tmp/c"
+        args = build_parser().parse_args([
+            "infer", "--jobs", "4", "--store", "/tmp/s",
+            "--incremental", "--journal", "/tmp/j", "--day-shards", "2",
+        ])
+        assert (args.jobs, args.store, args.incremental) == \
+            (4, "/tmp/s", True)
+        assert (args.journal, args.day_shards) == ("/tmp/j", 2)
         args = build_parser().parse_args(["figures", "out"])
         assert args.jobs is None
-        assert args.cache_dir is None
+        assert args.store is None
+        assert args.day_shards == 1
+        # The store is the one persistent tier; the old cache flag is
+        # gone rather than aliased.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["infer", "--cache-dir", "/tmp/c"])
 
 
 class TestCommands:
@@ -56,15 +63,16 @@ class TestCommands:
         # Title + header + separator + 3 rows.
         assert len(out.strip().splitlines()) == 6
 
-    def test_infer_with_cache_dir(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
+    def test_infer_with_store(self, tmp_path, capsys):
+        store = tmp_path / "store"
         argv = [
             "infer", "--step-days", "7", "--tail", "2",
-            "--jobs", "1", "--cache-dir", str(cache),
+            "--jobs", "1", "--store", str(store),
         ]
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert list(cache.rglob("*.bin"))  # cache got populated
+        assert list(store.rglob("*.shard"))  # input shards written
+        assert list(store.rglob("*.rpd"))  # result shards written
         assert main(argv) == 0  # warm re-run: identical table
         assert capsys.readouterr().out == cold
 
@@ -147,23 +155,23 @@ class TestErrorPaths:
             ["figures", "out", "--jobs", "-3"], capsys, "--jobs"
         )
 
-    def test_cache_dir_not_creatable(self, tmp_path, capsys):
+    def test_store_not_creatable(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
         self._assert_clean_failure(
-            ["infer", "--cache-dir", str(blocker / "cache")],
-            capsys, "--cache-dir",
+            ["infer", "--store", str(blocker / "store")],
+            capsys, "--store",
         )
 
     @pytest.mark.skipif(
         os.geteuid() == 0, reason="root ignores directory permissions"
     )
-    def test_cache_dir_unwritable(self, tmp_path, capsys):
+    def test_store_unwritable(self, tmp_path, capsys):
         read_only = tmp_path / "ro"
         read_only.mkdir(mode=0o500)
         try:
             self._assert_clean_failure(
-                ["infer", "--cache-dir", str(read_only)],
+                ["infer", "--store", str(read_only)],
                 capsys, "not writable",
             )
         finally:
@@ -257,32 +265,12 @@ class TestErrorPaths:
 
 
 class TestKernelFlag:
-    def test_kernel_flag_parses(self):
-        args = build_parser().parse_args(["infer", "--kernel", "object"])
-        assert args.kernel == "object"
-        assert build_parser().parse_args(["infer"]).kernel == "columnar"
-        assert build_parser().parse_args(["figures", "o"]).kernel == "columnar"
-
-    def test_bad_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["infer", "--kernel", "simd"])
-
-    def test_object_kernel_matches_columnar(self, capsys):
-        argv = ["infer", "--step-days", "7", "--tail", "3"]
-        assert main(argv + ["--kernel", "columnar"]) == 0
-        columnar = capsys.readouterr().out
-        assert main(argv + ["--kernel", "object"]) == 0
-        assert capsys.readouterr().out == columnar
-
-    def test_manifest_records_kernel(self, tmp_path, capsys):
-        manifest_path = tmp_path / "manifest.json"
-        assert main([
-            "infer", "--step-days", "14", "--tail", "1",
-            "--kernel", "object", "--metrics-out", str(manifest_path),
-        ]) == 0
-        capsys.readouterr()
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["extra"]["kernel"] == "object"
+    def test_bad_kernel_rejected(self, capsys):
+        # One per-day kernel: there is no flag left to select another.
+        for kernel in ("object", "columnar"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["infer", "--kernel", kernel])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServeCommand:
