@@ -327,7 +327,7 @@ def test_client_and_server_p99_agree(record_bench_json):
 
     asyncio.run(_run())
 
-    histogram = registry.histogram("serve.http.request")
+    histogram = registry.timer("serve.http.request")
     assert histogram.count == 80
     client_p99 = _percentile(samples, 0.99)
     server_p99 = histogram.quantile(0.99)

@@ -173,7 +173,9 @@ def _registry_for(args: argparse.Namespace) -> MetricsRegistry:
       registry,
     - ``--trace-out`` → a :class:`TracingRegistry` on the ``main``
       lane (worker lanes fan in through the runner),
-    - ``--profile-mem`` additionally turns on per-span peak gauges.
+    - ``--profile-mem`` additionally turns on per-span peak gauges;
+      :func:`main` turns them off again when the command returns or
+      raises, so an in-process run never leaves tracemalloc on.
     """
     wants_trace = getattr(args, "trace_out", None) is not None
     wants_profile = getattr(args, "profile_mem", False)
@@ -189,6 +191,7 @@ def _registry_for(args: argparse.Namespace) -> MetricsRegistry:
         return NULL
     if wants_profile:
         registry.enable_memory_profile()
+        args.profiled_registry = registry
     return registry
 
 
@@ -1137,6 +1140,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        profiled = getattr(args, "profiled_registry", None)
+        if profiled is not None:
+            profiled.disable_memory_profile()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -884,7 +884,7 @@ def _worker_registry() -> MetricsRegistry:
     buckets are fixed the bucket-wise sum is associative and
     commutative — the merged p99 is independent of chunk scheduling,
     exactly like counters (pinned by
-    ``tests/obs/test_telemetry_properties.py``).
+    ``tests/obs/test_merge_properties.py``).
     """
     if _WORKER_STATE.get("trace"):
         from repro.obs.trace import TracingRegistry

@@ -4,10 +4,11 @@
   :class:`MetricsRegistry` (counters / gauges / timers), nestable
   stage :class:`Span` timings, and the shared no-op :data:`NULL`
   registry every instrumented path defaults to,
-- :mod:`~repro.obs.telemetry` — quantile-grade latency telemetry:
-  mergeable fixed-bucket :class:`HistogramStats` recorded alongside
-  every timer, the :class:`SlidingWindow` serve rollup, and the
-  Prometheus text exposition (:func:`to_prometheus`) with its strict
+- :mod:`~repro.obs.telemetry` — :class:`HistogramStats`, the one
+  record every timer keeps (count, exact sum, min, max and
+  fixed-bucket quantiles, all merged exactly), the
+  :class:`SlidingWindow` serve rollup, and the Prometheus text
+  exposition (:func:`to_prometheus`) with its strict
   parser (:func:`parse_prometheus_text`),
 - :mod:`~repro.obs.trace` — per-span timeline events
   (:class:`TraceBuffer` / :class:`TracingRegistry`) exported as
@@ -47,7 +48,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
     Span,
-    TimerStats,
 )
 from repro.obs.telemetry import (
     HistogramStats,
@@ -82,7 +82,6 @@ __all__ = [
     "Span",
     "StageRecord",
     "TRACE_SCHEMA",
-    "TimerStats",
     "TraceBuffer",
     "TraceEvent",
     "TracingRegistry",

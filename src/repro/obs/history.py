@@ -45,6 +45,9 @@ HISTORY_SCHEMA = 1
 #: Default store location (relative to the working directory).
 DEFAULT_HISTORY_PATH = ".repro-history.jsonl"
 
+#: The per-timer facts an entry keeps from a manifest's timers.
+_TIMER_FACTS = ("count", "total_seconds", "mean_seconds", "p99_seconds")
+
 #: Timers faster than this in the baseline are never regression-gated:
 #: a 3 ms stage doubling is scheduler noise, not a regression.
 DEFAULT_MIN_SECONDS = 0.05
@@ -81,22 +84,10 @@ def summarize_manifest(payload: dict) -> dict:
     full metric dump (the manifest itself remains the deep record).
     """
     metrics = payload.get("metrics") or {}
-    histograms = metrics.get("histograms") or {}
-    timers = {}
-    for name, stats in (metrics.get("timers") or {}).items():
-        entry = {
-            "count": stats.get("count", 0),
-            "total_seconds": stats.get("total_seconds", 0.0),
-            "mean_seconds": stats.get(
-                "mean_seconds",
-                (stats.get("total_seconds", 0.0) / stats["count"])
-                if stats.get("count") else 0.0,
-            ),
-        }
-        histogram = histograms.get(name)
-        if histogram and "p99_seconds" in histogram:
-            entry["p99_seconds"] = histogram["p99_seconds"]
-        timers[name] = entry
+    timers = {
+        name: {key: stats[key] for key in _TIMER_FACTS if key in stats}
+        for name, stats in (metrics.get("timers") or {}).items()
+    }
     stages = {
         stage.get("name", "?"): {
             "in": stage.get("records_in", 0),

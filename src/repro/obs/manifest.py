@@ -28,8 +28,10 @@ from repro.obs.metrics import MetricsRegistry
 
 PathLike = Union[str, pathlib.Path]
 
-#: Bump when the manifest layout changes incompatibly.
-MANIFEST_SCHEMA = 1
+#: Bump when the manifest layout changes incompatibly.  2: one
+#: ``timers`` section whose entries carry the latency distribution
+#: (the separate ``histograms`` section is gone).
+MANIFEST_SCHEMA = 2
 
 
 def config_hash(config: object) -> str:
@@ -227,19 +229,17 @@ def render_manifest(payload: dict) -> str:
             ))
     metrics = payload.get("metrics") or {}
     timers = metrics.get("timers") or {}
-    histograms = metrics.get("histograms") or {}
     if timers:
-        rows = []
-        for name, stats in sorted(timers.items()):
-            histogram = histograms.get(name) or {}
-            p99 = histogram.get("p99_seconds")
-            rows.append([
+        rows = [
+            [
                 name,
-                stats.get("count", 0),
-                f"{stats.get('total_seconds', 0.0):.3f}",
-                f"{stats.get('mean_seconds', _mean(stats)):.4f}",
-                f"{p99:.4f}" if p99 is not None else "-",
-            ])
+                stats["count"],
+                f"{stats['total_seconds']:.3f}",
+                f"{stats['mean_seconds']:.4f}",
+                f"{stats['p99_seconds']:.4f}",
+            ]
+            for name, stats in sorted(timers.items())
+        ]
         lines.append("")
         lines.append(render_table(
             ["timer", "count", "total_s", "mean_s", "p99_s"],
@@ -264,8 +264,3 @@ def render_manifest(payload: dict) -> str:
         ))
     return "\n".join(lines)
 
-
-def _mean(stats: dict) -> float:
-    count = stats.get("count", 0)
-    total = stats.get("total_seconds", 0.0)
-    return total / count if count else 0.0

@@ -6,11 +6,12 @@ The measurement pipeline fans out across processes (see
 worker records into its own registry, ships it back with its results,
 and the parent folds them together with :meth:`MetricsRegistry.merge`.
 
-Merging is associative and commutative (counters and timer statistics
-add, gauges keep the maximum), so the merged view is independent of
-worker scheduling: merging N worker registries in any order equals one
+Merging is associative and commutative (counters add, gauges keep the
+maximum, timers — one :class:`~repro.obs.telemetry.HistogramStats`
+each — merge exactly), so the merged view is independent of worker
+scheduling: merging N worker registries in any order equals one
 registry that saw every observation sequentially.  The property tests
-in ``tests/obs/test_metrics_properties.py`` pin this down.
+in ``tests/obs/test_merge_properties.py`` pin this down.
 
 Instrumented code paths default to the module-level :data:`NULL`
 registry, whose methods do nothing: a run that never asks for metrics
@@ -20,61 +21,9 @@ pays (almost) nothing and produces byte-identical output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.obs.telemetry import HistogramStats
-
-
-@dataclass
-class TimerStats:
-    """Aggregated observations of one named timer."""
-
-    count: int = 0
-    total_seconds: float = 0.0
-    min_seconds: float = float("inf")
-    max_seconds: float = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total_seconds += seconds
-        if seconds < self.min_seconds:
-            self.min_seconds = seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-
-    def merge(self, other: "TimerStats") -> None:
-        # Normalize empty timers here instead of at serialization time:
-        # a count == 0 side carries the ``min_seconds = inf`` sentinel,
-        # which must never survive into a merged timer (it would leak
-        # into JSON as the non-standard ``Infinity`` token).
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.total_seconds = other.total_seconds
-            self.min_seconds = other.min_seconds
-            self.max_seconds = other.max_seconds
-            return
-        self.count += other.count
-        self.total_seconds += other.total_seconds
-        self.min_seconds = min(self.min_seconds, other.min_seconds)
-        self.max_seconds = max(self.max_seconds, other.max_seconds)
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.count if self.count else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "total_seconds": self.total_seconds,
-            "mean_seconds": self.mean_seconds,
-            "min_seconds": (
-                self.min_seconds if self.count else 0.0
-            ),
-            "max_seconds": self.max_seconds,
-        }
 
 
 class Span:
@@ -160,8 +109,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
-        self._timers: Dict[str, TimerStats] = {}
-        self._histograms: Dict[str, HistogramStats] = {}
+        self._timers: Dict[str, HistogramStats] = {}
         self._span_stack: List[str] = []
         #: Set by :meth:`enable_memory_profile`; spans then record
         #: ``profile.<name>.peak_kb`` gauges on exit.
@@ -182,19 +130,15 @@ class MetricsRegistry:
     def observe(self, name: str, seconds: float) -> None:
         """Record one timing observation into timer ``name``.
 
-        Every observation also lands in the same-named latency
-        histogram (fixed log-scale buckets, see
-        :mod:`repro.obs.telemetry`), so any instrumented call site —
-        spans included — gets p50/p90/p99/p999 for free.
+        A timer is a latency histogram (fixed log-scale buckets, see
+        :mod:`repro.obs.telemetry`) with exact count, sum, min and
+        max, so any instrumented call site — spans included — gets
+        p50/p90/p99/p999 for free.
         """
         stats = self._timers.get(name)
         if stats is None:
-            stats = self._timers[name] = TimerStats()
+            stats = self._timers[name] = HistogramStats()
         stats.observe(seconds)
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = HistogramStats()
-        histogram.observe(seconds)
 
     def span(self, name: str) -> Span:
         """Context manager timing a pipeline stage; spans nest."""
@@ -240,11 +184,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Optional[float]:
         return self._gauges.get(name)
 
-    def timer(self, name: str) -> TimerStats:
-        return self._timers.get(name, TimerStats())
-
-    def histogram(self, name: str) -> HistogramStats:
-        return self._histograms.get(name, HistogramStats())
+    def timer(self, name: str) -> HistogramStats:
+        return self._timers.get(name, HistogramStats())
 
     def counters(self) -> Dict[str, int]:
         return dict(self._counters)
@@ -252,11 +193,8 @@ class MetricsRegistry:
     def gauges(self) -> Dict[str, float]:
         return dict(self._gauges)
 
-    def timers(self) -> Dict[str, TimerStats]:
+    def timers(self) -> Dict[str, HistogramStats]:
         return dict(self._timers)
-
-    def histograms(self) -> Dict[str, HistogramStats]:
-        return dict(self._histograms)
 
     def names(self) -> Iterator[str]:
         yield from sorted(
@@ -268,9 +206,9 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other`` into this registry; returns ``self``.
 
-        Counters add, gauges keep the maximum, timer statistics
-        combine, so merging is associative and commutative with the
-        empty registry as identity.
+        Counters add, gauges keep the maximum, timers merge exactly,
+        so merging is associative and commutative with the empty
+        registry as identity.
         """
         for name, value in other._counters.items():
             self._counters[name] = self._counters.get(name, 0) + value
@@ -279,13 +217,8 @@ class MetricsRegistry:
         for name, stats in other._timers.items():
             mine = self._timers.get(name)
             if mine is None:
-                mine = self._timers[name] = TimerStats()
+                mine = self._timers[name] = HistogramStats()
             mine.merge(stats)
-        for name, histogram in other._histograms.items():
-            mine_h = self._histograms.get(name)
-            if mine_h is None:
-                mine_h = self._histograms[name] = HistogramStats()
-            mine_h.merge(histogram)
         return self
 
     def to_json(self) -> dict:
@@ -296,10 +229,6 @@ class MetricsRegistry:
                 name: stats.to_json()
                 for name, stats in sorted(self._timers.items())
             },
-            "histograms": {
-                name: histogram.to_json()
-                for name, histogram in sorted(self._histograms.items())
-            },
         }
 
     def __getstate__(self) -> dict:
@@ -307,15 +236,12 @@ class MetricsRegistry:
             "counters": self._counters,
             "gauges": self._gauges,
             "timers": self._timers,
-            "histograms": self._histograms,
         }
 
     def __setstate__(self, state: dict) -> None:
         self._counters = state["counters"]
         self._gauges = state["gauges"]
         self._timers = state["timers"]
-        # Registries pickled by pre-histogram versions load empty.
-        self._histograms = state.get("histograms", {})
         self._span_stack = []
         # Profiling is process-local (it wraps this interpreter's
         # tracemalloc); a shipped registry keeps its gauges only.

@@ -1,26 +1,27 @@
 """Quantile-grade telemetry: latency histograms, windows, Prometheus.
 
-The metrics layer (:mod:`repro.obs.metrics`) aggregates timers into
-count/total/min/max — enough to catch a stage that doubled, blind to a
-p99 that did.  This module adds the distribution dimension while
-keeping the property the whole observability stack is built on:
-**merge is associative and commutative**, so worker registries fan in
-through the runner pool in any completion order and the result equals
-one registry that saw every observation sequentially.
+Every timer of a :class:`~repro.obs.metrics.MetricsRegistry` is one
+:class:`HistogramStats`: count, exact sum, min and max *and* the
+distribution, so a stage that doubled and a p99 that did show up in
+the same record.  Everything here keeps the property the whole
+observability stack is built on: **merge is associative and
+commutative**, so worker registries fan in through the runner pool in
+any completion order and the result equals one registry that saw
+every observation sequentially.
 
 - :class:`HistogramStats` — fixed log-scale buckets (factor-2 bounds
-  from 1 µs), sparse storage, element-wise merge, and *exact-bucket*
-  quantile estimators: a quantile is always reported as the upper
-  bound of the bucket holding that rank, never interpolated, so the
-  estimate is deterministic, order-independent, and monotone in the
-  bucket index.
+  from 1 µs), sparse storage, element-wise merge, exact min/max, and
+  *exact-bucket* quantile estimators: a quantile is always reported as
+  the upper bound of the bucket holding that rank, never interpolated,
+  so the estimate is deterministic, order-independent, and monotone in
+  the bucket index.
 - :class:`SlidingWindow` — a per-second ring buffer of request
   outcomes behind the serving layer's ``/health`` rollup (qps, error
   rate, p99 over the trailing 1 m / 5 m).
 - :func:`to_prometheus` / :func:`write_prometheus` — the standard
   text exposition format over a registry snapshot: counters become
-  ``*_total``, timers with distributions become real Prometheus
-  histograms (cumulative ``_bucket{le=…}`` plus ``_sum``/``_count``).
+  ``*_total``, timers become real Prometheus histograms (cumulative
+  ``_bucket{le=…}`` plus ``_sum``/``_count``).
 - :func:`parse_prometheus_text` — a deliberately strict parser used
   by CI and the tests to validate everything the server exposes: no
   duplicate series, declared types, cumulative bucket counts, and
@@ -93,39 +94,58 @@ def bucket_upper_bound(index: int) -> float:
 
 
 class HistogramStats:
-    """A mergeable log-scale latency distribution.
+    """A mergeable log-scale latency distribution: the one record kept
+    per timer name.
 
     Sparse bucket storage (index → count) keeps the pickled payload
     proportional to the number of *distinct magnitudes* observed, not
-    the observation count; merge adds bucket counts element-wise, so
-    it is associative and commutative with the empty histogram as
-    identity — pinned down by ``tests/obs/test_telemetry_properties.py``.
-    The sum is kept in integer nanoseconds, so it is exact under any
-    merge order too (a running float sum is not associative).
+    the observation count.  Every field merges exactly: bucket counts
+    and the integer-nanosecond sum add (a running float sum is not
+    associative), min and max take the min and max.  So merge is
+    associative and commutative with the empty histogram as identity
+    — pinned down by ``tests/obs/test_merge_properties.py``.  An empty
+    histogram carries ``min_seconds = inf`` (the identity of ``min``)
+    but serializes it as ``0.0``, never as JSON ``Infinity``.
     """
 
-    __slots__ = ("count", "total_ns", "buckets")
+    __slots__ = (
+        "count", "total_ns", "buckets", "min_seconds", "max_seconds",
+    )
 
     def __init__(self) -> None:
         self.count = 0
         self.total_ns = 0
         self.buckets: Dict[int, int] = {}
+        self.min_seconds = math.inf
+        self.max_seconds = -math.inf
 
     @property
     def total_seconds(self) -> float:
         return self.total_ns / 1e9
+
+    @property
+    def mean_seconds(self) -> float:
+        return self.total_seconds / self.count if self.count else 0.0
 
     def observe(self, seconds: float) -> None:
         index = bucket_index(seconds)
         self.count += 1
         self.total_ns += round(seconds * 1e9)
         self.buckets[index] = self.buckets.get(index, 0) + 1
+        if seconds < self.min_seconds:
+            self.min_seconds = seconds
+        if seconds > self.max_seconds:
+            self.max_seconds = seconds
 
     def merge(self, other: "HistogramStats") -> "HistogramStats":
         self.count += other.count
         self.total_ns += other.total_ns
         for index, count in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + count
+        if other.min_seconds < self.min_seconds:
+            self.min_seconds = other.min_seconds
+        if other.max_seconds > self.max_seconds:
+            self.max_seconds = other.max_seconds
         return self
 
     def quantile(self, q: float) -> float:
@@ -154,6 +174,9 @@ class HistogramStats:
         payload = {
             "count": self.count,
             "total_seconds": self.total_seconds,
+            "mean_seconds": self.mean_seconds,
+            "min_seconds": self.min_seconds if self.count else 0.0,
+            "max_seconds": self.max_seconds if self.count else 0.0,
             "total_ns": self.total_ns,
             "buckets": {
                 str(index): self.buckets[index]
@@ -167,28 +190,16 @@ class HistogramStats:
     @classmethod
     def from_json(cls, payload: dict) -> "HistogramStats":
         stats = cls()
-        stats.count = int(payload.get("count", 0))
-        total_ns = payload.get("total_ns")
-        if total_ns is None:  # written before the sum was exact
-            total_ns = round(float(payload.get("total_seconds", 0.0)) * 1e9)
-        stats.total_ns = int(total_ns)
+        stats.count = int(payload["count"])
+        stats.total_ns = int(payload["total_ns"])
         stats.buckets = {
             int(index): int(count)
-            for index, count in (payload.get("buckets") or {}).items()
+            for index, count in payload["buckets"].items()
         }
+        if stats.count:
+            stats.min_seconds = float(payload["min_seconds"])
+            stats.max_seconds = float(payload["max_seconds"])
         return stats
-
-    def __getstate__(self) -> dict:
-        return {
-            "count": self.count,
-            "total_ns": self.total_ns,
-            "buckets": self.buckets,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.count = state["count"]
-        self.total_ns = state["total_ns"]
-        self.buckets = state["buckets"]
 
     def __len__(self) -> int:
         return self.count
@@ -302,12 +313,9 @@ def to_prometheus(snapshot: dict) -> str:
 
     - counters → ``repro_<name>_total`` (counter),
     - gauges → ``repro_<name>`` (gauge),
-    - timers with a recorded distribution → ``repro_<name>_seconds``
-      (histogram): one cumulative ``_bucket`` line per *occupied*
-      bucket (a legal subset of the full bound list) plus ``+Inf``,
-      ``_sum`` and ``_count``,
-    - timers without a distribution (old manifests) →
-      ``repro_<name>_seconds`` (summary) with ``_sum``/``_count``.
+    - timers → ``repro_<name>_seconds`` (histogram): one cumulative
+      ``_bucket`` line per *occupied* bucket (a legal subset of the
+      full bound list) plus ``+Inf``, ``_sum`` and ``_count``.
 
     Name mangling can collide (``a.b`` and ``a_b``); colliding
     counters are summed and colliding gauges keep the maximum, so the
@@ -330,36 +338,18 @@ def to_prometheus(snapshot: dict) -> str:
     for mangled in sorted(gauges):
         lines.append(f"# TYPE {mangled} gauge")
         lines.append(f"{mangled} {_format_value(gauges[mangled])}")
-    timers = snapshot.get("timers") or {}
-    histograms = snapshot.get("histograms") or {}
-    for name in sorted(set(timers) | set(histograms)):
+    for name, payload in sorted((snapshot.get("timers") or {}).items()):
         mangled = mangle_metric_name(name, "_seconds")
-        histogram = histograms.get(name)
-        if histogram:
-            stats = HistogramStats.from_json(histogram)
-            lines.append(f"# TYPE {mangled} histogram")
-            for index, cumulative in stats.cumulative_buckets():
-                if index >= HISTOGRAM_FINITE_BUCKETS:
-                    continue  # the +Inf line below carries overflow
-                bound = _format_bound(bucket_upper_bound(index))
-                lines.append(
-                    f'{mangled}_bucket{{le="{bound}"}} {cumulative}'
-                )
-            lines.append(
-                f'{mangled}_bucket{{le="+Inf"}} {stats.count}'
-            )
-            lines.append(
-                f"{mangled}_sum {_format_value(stats.total_seconds)}"
-            )
-            lines.append(f"{mangled}_count {stats.count}")
-            continue
-        stats_json = timers.get(name) or {}
-        lines.append(f"# TYPE {mangled} summary")
-        lines.append(
-            f"{mangled}_sum "
-            f"{_format_value(stats_json.get('total_seconds', 0.0))}"
-        )
-        lines.append(f"{mangled}_count {stats_json.get('count', 0)}")
+        stats = HistogramStats.from_json(payload)
+        lines.append(f"# TYPE {mangled} histogram")
+        for index, cumulative in stats.cumulative_buckets():
+            if index >= HISTOGRAM_FINITE_BUCKETS:
+                continue  # the +Inf line below carries overflow
+            bound = _format_bound(bucket_upper_bound(index))
+            lines.append(f'{mangled}_bucket{{le="{bound}"}} {cumulative}')
+        lines.append(f'{mangled}_bucket{{le="+Inf"}} {stats.count}')
+        lines.append(f"{mangled}_sum {_format_value(stats.total_seconds)}")
+        lines.append(f"{mangled}_count {stats.count}")
     return "\n".join(lines) + "\n"
 
 

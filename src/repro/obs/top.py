@@ -5,8 +5,8 @@ Scrapes ``/health`` and ``/metrics`` (the JSON document) from a
 seconds and renders a terminal dashboard: the sliding-window SLO
 rollup (qps / error rate / p99 over the trailing 1 m and 5 m) plus a
 per-route table with request counts, instantaneous qps (counter deltas
-between polls), and exact-bucket latency quantiles from the server's
-histograms.
+between polls), and the exact-bucket latency quantiles the server's
+timers carry.
 
 Everything here is injectable (fetcher, clock, sleep, output sink) so
 the refresh loop is unit-testable without a socket; the CLI wires in
@@ -20,13 +20,12 @@ import time
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.obs.telemetry import HistogramStats
 
 #: ANSI clear-screen + home, prefixed to each frame unless --no-clear.
 CLEAR = "\x1b[2J\x1b[H"
 
-#: Timer/histogram names surfaced as dashboard rows, most aggregated
-#: first.  Route histograms (``serve.http.route.*``) are discovered
+#: Timer names surfaced as dashboard rows, most aggregated first.
+#: Route timers (``serve.http.route.*``) are discovered
 #: dynamically and appended after these.
 _TOP_LEVEL_ROWS = (
     ("whois", "serve.whois.request"),
@@ -85,12 +84,6 @@ def fetch_snapshot(host: str, port: int) -> Tuple[dict, dict]:
         ) from exc
 
 
-def _quantile_of(histogram_json: Optional[dict], q: float) -> float:
-    if not histogram_json:
-        return 0.0
-    return HistogramStats.from_json(histogram_json).quantile(q)
-
-
 def _fmt_ms(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}"
 
@@ -133,35 +126,33 @@ def render_dashboard(
         ),
     )]
 
-    histograms = metrics.get("histograms") or {}
     timers = metrics.get("timers") or {}
     rows = []
     names = list(_TOP_LEVEL_ROWS)
     route_prefix = "serve.http.route."
     names.extend(
         (name[len(route_prefix):], name)
-        for name in sorted(histograms)
+        for name in sorted(timers)
         if name.startswith(route_prefix)
     )
     previous_timers = (previous or {}).get("timers") or {}
     for label, name in names:
-        timer = timers.get(name) or {}
-        count = timer.get("count", 0)
-        if not count:
+        timer = timers.get(name)
+        if not timer or not timer["count"]:
             continue
+        count = timer["count"]
         if elapsed > 0:
             before = (previous_timers.get(name) or {}).get("count", 0)
             qps = f"{max(0, count - before) / elapsed:.2f}"
         else:
             qps = "-"
-        histogram = histograms.get(name)
         rows.append([
             label,
             count,
             qps,
-            _fmt_ms(timer.get("mean_seconds", 0.0)),
-            _fmt_ms(_quantile_of(histogram, 0.50)),
-            _fmt_ms(_quantile_of(histogram, 0.99)),
+            _fmt_ms(timer["mean_seconds"]),
+            _fmt_ms(timer["p50_seconds"]),
+            _fmt_ms(timer["p99_seconds"]),
         ])
     if rows:
         frame.append(render_table(

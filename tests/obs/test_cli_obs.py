@@ -197,6 +197,35 @@ class TestProfileMem:
         gauges = load_manifest(path)["metrics"]["gauges"]
         assert not any(name.startswith("profile.") for name in gauges)
 
+    def test_profiled_run_stops_tracing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """An in-process ``--profile-mem`` run must not leave
+        tracemalloc on for the rest of the interpreter (every later
+        allocation, and every process forked later, would pay for
+        it)."""
+        import tracemalloc
+
+        import repro.delegation
+        from repro.errors import ReproError
+
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+        args = ["--jobs", "1", "--profile-mem",
+                "--metrics-out", str(tmp_path / "m.json")]
+        _run_infer(capsys, args)
+        assert not tracemalloc.is_tracing()
+
+        # The same holds when the command fails after profiling began.
+        def fail(*_args, **_kwargs):
+            assert tracemalloc.is_tracing()
+            raise ReproError("injected failure")
+
+        monkeypatch.setattr(repro.delegation, "run_inference", fail)
+        assert main(_INFER_ARGS + args) == 2
+        assert "injected failure" in capsys.readouterr().err
+        assert not tracemalloc.is_tracing()
+
 
 class TestPromOut:
     def test_infer_writes_valid_prometheus_text(self, tmp_path, capsys):

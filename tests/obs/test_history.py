@@ -27,19 +27,24 @@ def _manifest(
     """A minimal but structurally faithful manifest payload."""
     gauges = dict(profile or {})
     counters = {"spans.mismatched": mismatched} if mismatched else {}
-    histograms = {}
+    runner = {
+        "count": 1,
+        "total_seconds": runner_seconds,
+        "mean_seconds": runner_seconds,
+        "min_seconds": runner_seconds,
+        "max_seconds": runner_seconds,
+    }
     if runner_p99 is not None:
-        histograms["runner"] = {
-            "count": 1,
-            "total_seconds": runner_seconds,
+        runner.update({
+            "total_ns": round(runner_seconds * 1e9),
+            "buckets": {"20": 1},
             "p50_seconds": runner_p99,
             "p90_seconds": runner_p99,
             "p99_seconds": runner_p99,
             "p999_seconds": runner_p99,
-            "buckets": {"20": 1},
-        }
+        })
     return {
-        "schema": 1,
+        "schema": 2,
         "command": "infer",
         "created": "2026-08-06T00:00:00+00:00",
         "config": {"visibility_threshold": 10},
@@ -61,17 +66,12 @@ def _manifest(
         "metrics": {
             "counters": counters,
             "gauges": gauges,
-            "histograms": histograms,
             "timers": {
-                "runner": {
-                    "count": 1,
-                    "total_seconds": runner_seconds,
-                    "min_seconds": runner_seconds,
-                    "max_seconds": runner_seconds,
-                },
+                "runner": runner,
                 "runner.fan_in": {
                     "count": 1,
                     "total_seconds": 0.001,
+                    "mean_seconds": 0.001,
                     "min_seconds": 0.001,
                     "max_seconds": 0.001,
                 },
@@ -125,7 +125,7 @@ class TestSummarizeManifest:
         runner = entry["timers"]["runner"]
         assert runner["mean_seconds"] == pytest.approx(1.0)
         assert runner["p99_seconds"] == pytest.approx(0.9)
-        # A timer with no histogram simply has no p99 key.
+        # A timer without a p99 simply has none in its entry.
         assert "p99_seconds" not in entry["timers"]["runner.fan_in"]
 
     def test_mismatched_spans_ride_in_malformed_map(self):
@@ -251,7 +251,8 @@ class TestFindRegressions:
         ) == []
 
     def test_p99_gate_skips_entries_without_histograms(self):
-        # Baseline recorded before histograms existed: no p99 key.
+        # An entry without p99s (recorded before timers carried
+        # distributions) has nothing for the tail gate to compare.
         base, cand = self._entries(
             {"runner_seconds": 1.0},
             {"runner_seconds": 1.0, "runner_p99": 5.0},

@@ -1,11 +1,12 @@
 """Unit tests for the metrics registry, spans, and the no-op default."""
 
+import json
 import pickle
 import time
 
 import pytest
 
-from repro.obs import NULL, MetricsRegistry, NullRegistry, TimerStats
+from repro.obs import NULL, HistogramStats, MetricsRegistry, NullRegistry
 
 
 class TestCounters:
@@ -63,11 +64,15 @@ class TestTimers:
 
     def test_missing_timer_is_empty(self):
         stats = MetricsRegistry().timer("nope")
+        assert isinstance(stats, HistogramStats)
         assert stats.count == 0
         assert stats.mean_seconds == 0.0
 
     def test_to_json_zeroes_min_when_empty(self):
-        assert TimerStats().to_json()["min_seconds"] == 0.0
+        payload = HistogramStats().to_json()
+        assert payload["min_seconds"] == 0.0
+        assert payload["max_seconds"] == 0.0
+        json.dumps(payload, allow_nan=False)  # never Infinity
 
 
 class TestSpans:
@@ -188,13 +193,13 @@ class TestMerge:
         assert a.to_json() == before
 
     def test_merge_into_empty_timer_does_not_leak_inf(self):
-        """Merging into a count==0 timer copies, not min()s.
+        """Merging into a count==0 timer takes the other side's min/max.
 
-        The empty-timer sentinel ``min_seconds = inf`` used to win the
-        ``min()`` during merge and then leak into ``to_json`` of the
-        merged registry (serializing as JSON ``Infinity``).
+        The empty timer's ``min_seconds = inf`` sentinel must lose the
+        ``min()`` during merge and never reach ``to_json`` (it would
+        serialize as the non-standard JSON ``Infinity``).
         """
-        empty, full = TimerStats(), TimerStats()
+        empty, full = HistogramStats(), HistogramStats()
         full.observe(2.0)
         full.observe(4.0)
         empty.merge(full)
@@ -203,22 +208,21 @@ class TestMerge:
         assert empty.max_seconds == pytest.approx(4.0)
         payload = empty.to_json()
         assert payload["min_seconds"] == pytest.approx(2.0)
+        json.dumps(payload, allow_nan=False)
 
     def test_merge_from_empty_timer_is_identity(self):
-        full = TimerStats()
+        full = HistogramStats()
         full.observe(1.0)
         before = full.to_json()
-        full.merge(TimerStats())
+        full.merge(HistogramStats())
         assert full.to_json() == before
+        json.dumps(full.to_json(), allow_nan=False)
 
     def test_registry_merge_never_serializes_infinity(self):
-        import json
-
         a, b = MetricsRegistry(), MetricsRegistry()
         b.observe("t", 0.5)
         a.merge(b)  # "t" is created empty in a, then merged into
-        text = json.dumps(a.to_json())
-        assert "Infinity" not in text
+        json.dumps(a.to_json(), allow_nan=False)
         assert a.timer("t").min_seconds == pytest.approx(0.5)
 
 
@@ -253,7 +257,6 @@ class TestNullRegistry:
             pass
         assert registry.to_json() == {
             "counters": {}, "gauges": {}, "timers": {},
-            "histograms": {},
         }
 
     def test_enabled_flag(self):

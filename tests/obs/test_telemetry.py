@@ -78,6 +78,8 @@ class TestHistogramStats:
         clone = HistogramStats.from_json(payload)
         assert clone.buckets == stats.buckets
         assert clone.quantile(0.99) == stats.quantile(0.99)
+        assert (clone.min_seconds, clone.max_seconds) == (0.002, 5.0)
+        assert clone.to_json() == payload
 
     def test_pickle_round_trip(self):
         stats = HistogramStats()
@@ -100,14 +102,14 @@ class TestRegistryHistograms:
         registry = MetricsRegistry()
         registry.observe("stage", 0.004)
         registry.observe("stage", 0.004)
-        assert registry.histogram("stage").count == 2
-        assert registry.timer("stage").count == 2
+        assert registry.timer("stage").buckets == {bucket_index(0.004): 2}
+        assert registry.timers().keys() == {"stage"}
 
     def test_span_records_histogram_for_free(self):
         registry = MetricsRegistry()
         with registry.span("stage"):
             pass
-        assert registry.histogram("stage").count == 1
+        assert sum(registry.timer("stage").buckets.values()) == 1
 
     def test_merge_folds_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -115,25 +117,20 @@ class TestRegistryHistograms:
         b.observe("t", 0.001)
         b.observe("t", 10.0)
         a.merge(b)
-        merged = a.histogram("t")
+        merged = a.timer("t")
         assert merged.count == 3
         assert merged.buckets[bucket_index(0.001)] == 2
 
-    def test_unpickling_pre_histogram_state_loads_empty(self):
-        registry = MetricsRegistry()
-        registry.observe("t", 0.5)
-        state = registry.__getstate__()
-        del state["histograms"]  # a registry pickled before this PR
-        old = MetricsRegistry()
-        old.__setstate__(state)
-        assert old.timer("t").count == 1
-        assert old.histograms() == {}
-
     def test_to_json_includes_histograms(self):
+        # One section: each timer entry carries its distribution.
         registry = MetricsRegistry()
         registry.observe("t", 0.5)
         payload = registry.to_json()
-        assert payload["histograms"]["t"]["count"] == 1
+        assert set(payload) == {"counters", "gauges", "timers"}
+        timer = payload["timers"]["t"]
+        assert timer["count"] == 1
+        assert timer["buckets"] == {str(bucket_index(0.5)): 1}
+        assert timer["p99_seconds"] == bucket_upper_bound(bucket_index(0.5))
 
 
 class TestSlidingWindow:
@@ -214,15 +211,6 @@ class TestToPrometheus:
         )
         assert "repro_serve_whois_request_seconds_count 2" in text
         assert "repro_serve_whois_request_seconds_sum" in text
-
-    def test_timer_without_histogram_renders_as_summary(self):
-        # Manifests recorded before this PR have timers only.
-        snapshot = {
-            "timers": {"old.stage": {"count": 3, "total_seconds": 1.5}}
-        }
-        text = to_prometheus(snapshot)
-        families = parse_prometheus_text(text)
-        assert families["repro_old_stage_seconds"]["type"] == "summary"
 
     def test_colliding_names_merge_instead_of_duplicating(self):
         registry = MetricsRegistry()

@@ -493,13 +493,13 @@ class TestTelemetry:
 
         serve(engine, scenario)
         metrics = engine.metrics
-        assert metrics.histogram("serve.whois.request").count == 1
-        assert metrics.histogram("serve.http.request").count == 2
-        assert metrics.histogram("serve.http.route.ip").count == 1
-        assert metrics.histogram("serve.http.route.market").count == 1
+        assert metrics.timer("serve.whois.request").count == 1
+        assert metrics.timer("serve.http.request").count == 2
+        assert metrics.timer("serve.http.route.ip").count == 1
+        assert metrics.timer("serve.http.route.market").count == 1
         # Engine-side query timings isolate lookup cost from protocol.
-        assert metrics.histogram("engine.query.whois").count == 1
-        assert metrics.histogram("engine.query.rdap_ip").count == 1
+        assert metrics.timer("engine.query.whois").count == 1
+        assert metrics.timer("engine.query.rdap_ip").count == 1
         # Status-class counters alongside exact statuses.
         assert metrics.counter("serve.http.status_class.2xx") == 2
 

@@ -354,3 +354,7 @@ class TestServeCommand:
         payload = json.loads(manifest.read_text())
         assert payload["command"] == "serve"
         assert payload["extra"]["serve"]["status"] == "draining"
+        # The end-to-end benchmark reads the start-up time from here.
+        load = payload["metrics"]["timers"]["serve.load"]
+        assert load["total_seconds"] > 0
+        assert "p99_seconds" in load
