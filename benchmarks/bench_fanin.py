@@ -1,13 +1,10 @@
 """Fan-in smoke benchmark: shared-memory results at internet scale.
 
 Runs the internet preset's multi-year window (subsampled with
-``step_days``) through every result-transport combination — the
-shared-memory fan-in, the pickled fallback a worker takes when it
-cannot get a segment (forced here by patching
-``runner._create_worker_segment`` before the pool forks), per-/8 day
-shards, and the incremental delta sweep under both transports — and
-asserts all of them byte-identical to the whole-day shared-memory
-sweep.
+``step_days``) through both result transports — the shared-memory
+fan-in and the pickled fallback a worker takes when it cannot get a
+segment (forced here by patching ``runner._create_worker_segment``
+before the pool forks) — and asserts them byte-identical.
 
 The perf claim is measured on the warm store: with its ``results/``
 namespace removed, a warm sweep serves warm *input* shards but still
@@ -120,22 +117,14 @@ def test_fanin_internet_sweep(record_bench_json, tmp_path, monkeypatch):
     assert shm_metrics.gauge("fanin.shm_kb") > 0
     assert shm_metrics.gauge("fanin.pickled_kb") == 0
 
-    # Byte-identity across the whole transport/scheduling matrix.
-    matrix = {
-        "pickle_columnar": dict(pickled=True),
-        "shm_day_shards4": dict(day_shards=4),
-        "incremental_pickle": dict(pickled=True, incremental=True),
-        "incremental_shm": dict(incremental=True),
-    }
-    pickle_metrics = None
-    for label, kwargs in matrix.items():
-        result, timings[label], metrics = sweep(**kwargs)
-        assert _daily_bytes(
-            result, tmp_path / f"{label}.jsonl"
-        ) == expected, label
-        if label == "pickle_columnar":
-            pickle_metrics = metrics
-        del result
+    # Byte-identity across the two transports.
+    result, timings["pickle_columnar"], pickle_metrics = sweep(
+        pickled=True
+    )
+    assert _daily_bytes(
+        result, tmp_path / "pickle_columnar.jsonl"
+    ) == expected
+    del result
     assert pickle_metrics.gauge("fanin.pickled_kb") > 0
     assert pickle_metrics.gauge("fanin.shm_kb") == 0
 
@@ -198,8 +187,9 @@ def test_fanin_internet_sweep(record_bench_json, tmp_path, monkeypatch):
         "step_days": STEP_DAYS,
         "sampled_days": days,
         "jobs": 2,
-        "byte_identity": sorted(matrix) + ["warm_store_inputs",
-                                           "warm_store_results"],
+        "byte_identity": [
+            "pickle_columnar", "warm_store_inputs", "warm_store_results",
+        ],
         "rounds": ROUNDS,
         "timings_s": {
             key: round(value, 3) for key, value in timings.items()

@@ -5,9 +5,7 @@ columnar kernel, sequentially and through the parallel runner, and
 through the trie reference kernel kept in
 ``tests/delegation/reference_kernel.py``, and asserts the columnar
 fast path is byte-identical to the reference — outputs and attrition
-counters alike.  The incremental
-delta sweep rides along (cold journaled run + warm journal replay),
-held to the same byte-identity bar.  Wall-clocks land in
+counters alike.  Wall-clocks land in
 ``BENCH_smoke_kernel.json`` so CI can archive the trend without
 paying the paper-scale fig6 run.
 
@@ -130,35 +128,6 @@ def test_smoke_kernel_differential(record_bench_json, tmp_path):
     ) == object_bytes
     assert _counters(parallel) == _counters(sequential["object"])
 
-    # And the incremental delta sweep: a cold journaled run, then a
-    # pure warm journal replay — both byte-identical, the replay
-    # recomputing nothing.
-    journal_dir = tmp_path / "journal"
-    t0 = time.perf_counter()
-    inc_cold = run_inference(
-        factory, start, end, InferenceConfig.extended(),
-        as2org=as2org, jobs=1, incremental=True,
-        journal_dir=journal_dir,
-    )
-    timings["incremental_cold"] = time.perf_counter() - t0
-    assert _daily_bytes(
-        inc_cold, tmp_path / "inc-cold.jsonl"
-    ) == object_bytes
-    assert _counters(inc_cold) == _counters(sequential["object"])
-
-    t0 = time.perf_counter()
-    inc_warm = run_inference(
-        factory, start, end, InferenceConfig.extended(),
-        as2org=as2org, jobs=1, incremental=True,
-        journal_dir=journal_dir,
-    )
-    timings["incremental_warm_replay"] = time.perf_counter() - t0
-    assert _daily_bytes(
-        inc_warm, tmp_path / "inc-warm.jsonl"
-    ) == object_bytes
-    assert _counters(inc_warm) == _counters(sequential["object"])
-    assert inc_warm.runner_stats.days_computed == 0
-
     # LPM lookup micro-timing: the bisect-bounded candidate-length
     # walk against the old scan-every-length reference, same queries.
     spm, queries = _lpm_fixture(entries=20_000, queries=30_000)
@@ -183,14 +152,6 @@ def test_smoke_kernel_differential(record_bench_json, tmp_path):
             "columnar_vs_object_sequential": round(
                 timings["sequential_object"]
                 / timings["sequential_columnar"], 2
-            ),
-            "incremental_cold_vs_sequential_columnar": round(
-                timings["sequential_columnar"]
-                / timings["incremental_cold"], 2
-            ),
-            "warm_replay_vs_incremental_cold": round(
-                timings["incremental_cold"]
-                / timings["incremental_warm_replay"], 2
             ),
             "lpm_bisect_vs_linear_scan": round(
                 timings["lpm_longest_match_linear"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import datetime
 import sys
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bgp.message import RouteRecord, Withdrawal
 from repro.netbase.aspath import ASPath
@@ -219,81 +219,6 @@ class PairTable:
             array("Q", self.origins),
             array("B", self.flags),
             array("I", self.monitor_counts),
-        )
-
-    def slice(self, low: int, high: int) -> "PairTable":
-        """A sub-table over rows ``[low, high)`` of this table.
-
-        Column slicing preserves the backing kind: memoryview columns
-        stay zero-copy views into the same buffer (slicing a view
-        never copies), array columns copy just the requested range.
-        The sorted-key invariant is inherited — any contiguous slice
-        of a sorted column is sorted — so sub-tables feed the columnar
-        kernel unchanged; this is what the per-/8 intra-day sharding
-        hands each sub-task.
-        """
-        return PairTable(
-            self.keys[low:high],
-            self.origins[low:high],
-            self.flags[low:high],
-            self.monitor_counts[low:high],
-        )
-
-    @classmethod
-    def concat(cls, tables: Iterable["PairTable"]) -> "PairTable":
-        """Deterministic k-way columnar concatenation.
-
-        The inverse of slicing a table at cut points: the parts'
-        key ranges must be strictly ascending *across* parts (each
-        part's first key greater than the previous part's last), so
-        simple column concatenation — no merge network, no comparison
-        per row — reproduces the sorted-array invariant exactly.  The
-        precondition is validated (O(k)); violating it raises
-        ``ValueError`` rather than silently producing an unsorted
-        table that every bisect-based consumer would misread.
-
-        Always returns an array-backed (picklable, mutable) table:
-        the concatenation itself is the copy.
-        """
-        keys = array("Q")
-        origins = array("Q")
-        flags = array("B")
-        monitor_counts = array("I")
-        last_key = -1
-        for table in tables:
-            if not len(table):
-                continue
-            if table.keys[0] <= last_key:
-                raise ValueError(
-                    "PairTable.concat parts must have strictly "
-                    "ascending, non-overlapping key ranges "
-                    f"(part starting at key {table.keys[0]} follows "
-                    f"key {last_key})"
-                )
-            last_key = table.keys[-1]
-            if isinstance(table.keys, memoryview):
-                # Views only exist on little-endian hosts, where the
-                # backing bytes are already in array order (recast to
-                # 'B': frombytes insists on a bytes-shaped buffer).
-                keys.frombytes(table.keys.cast("B"))
-                origins.frombytes(table.origins.cast("B"))
-                flags.frombytes(table.flags.cast("B"))
-                monitor_counts.frombytes(table.monitor_counts.cast("B"))
-            else:
-                keys.extend(table.keys)
-                origins.extend(table.origins)
-                flags.extend(table.flags)
-                monitor_counts.extend(table.monitor_counts)
-        return cls(keys, origins, flags, monitor_counts)
-
-    def column_at(self, index: int) -> Tuple[int, int, int, int]:
-        """One entry as ``(key, origin, flags, monitors)`` — the unit
-        day-over-day deltas (:mod:`repro.delegation.delta`) move."""
-        return (
-            self.keys[index],
-            self.origins[index],
-            self.flags[index],
-            self.monitor_counts[index],
         )
 
     def equals(self, other: "PairTable") -> bool:

@@ -102,19 +102,11 @@ def _check_runner_flags(args: argparse.Namespace) -> None:
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         raise ReproError(f"--jobs must be at least 1 (got {jobs})")
-    journal = getattr(args, "journal", None)
-    if journal is not None:
-        if not getattr(args, "incremental", False):
-            raise ReproError("--journal requires --incremental")
-        path = pathlib.Path(journal)
-        try:
-            path.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ReproError(
-                f"--journal: cannot create {path}: {exc}"
-            ) from exc
-        if not os.access(path, os.W_OK):
-            raise ReproError(f"--journal: {path} is not writable")
+    step_days = getattr(args, "step_days", None)
+    if step_days is not None and step_days < 1:
+        raise ReproError(
+            f"--step-days must be at least 1 (got {step_days})"
+        )
     store = getattr(args, "store", None)
     if store is not None:
         path = pathlib.Path(store)
@@ -126,16 +118,6 @@ def _check_runner_flags(args: argparse.Namespace) -> None:
             ) from exc
         if not os.access(path, os.W_OK):
             raise ReproError(f"--store: {path} is not writable")
-    day_shards = getattr(args, "day_shards", None)
-    if day_shards is not None:
-        if day_shards < 1:
-            raise ReproError(
-                f"--day-shards must be at least 1 (got {day_shards})"
-            )
-        if day_shards > 1 and getattr(args, "incremental", False):
-            raise ReproError(
-                "--day-shards cannot combine with --incremental"
-            )
     _check_obs_flags(args)
 
 
@@ -278,24 +260,15 @@ def _write_infer_manifest(
     if config.same_org_filter:
         manifest.add_input("as2org", world.as2org().fingerprint())
     _pipeline_stage_table(manifest, metrics)
-    hits = misses = replayed = fastpathed = 0
-    incremental = False
+    hits = misses = 0
     for result in results:
         stats = result.runner_stats
         if stats is not None:
             hits += stats.days_from_cache
             misses += stats.days_computed
-            incremental = incremental or stats.incremental
-            replayed += stats.days_replayed
-            fastpathed += stats.days_fastpathed
     manifest.cache = {"hits": hits, "misses": misses}
     manifest.extra["scale"] = args.scale
     manifest.extra["seed"] = args.seed
-    if incremental:
-        manifest.extra["incremental"] = {
-            "days_replayed": replayed,
-            "days_fastpathed": fastpathed,
-        }
     manifest.write(args.metrics_out)
 
 
@@ -412,10 +385,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         step_days=args.step_days,
         jobs=args.jobs,
         metrics=metrics,
-        incremental=args.incremental,
-        journal_dir=args.journal,
         store_dir=args.store,
-        day_shards=args.day_shards,
     )
     if args.metrics_out is not None:
         _write_infer_manifest(
@@ -585,18 +555,12 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         extended = run_inference(
             factory, world.config.bgp_start, world.config.bgp_end,
             InferenceConfig.extended(), as2org=world.as2org(),
-            jobs=args.jobs, metrics=metrics,
-            incremental=args.incremental,
-            journal_dir=args.journal, store_dir=args.store,
-            day_shards=args.day_shards,
+            jobs=args.jobs, metrics=metrics, store_dir=args.store,
         )
         baseline = run_inference(
             factory, world.config.bgp_start, world.config.bgp_end,
             InferenceConfig.baseline(),
-            jobs=args.jobs, metrics=metrics,
-            incremental=args.incremental,
-            journal_dir=args.journal, store_dir=args.store,
-            day_shards=args.day_shards,
+            jobs=args.jobs, metrics=metrics, store_dir=args.store,
         )
         results = [extended, baseline]
         written.append(
@@ -695,10 +659,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             include_inference=not args.no_infer,
             step_days=args.step_days,
             jobs=args.jobs,
-            incremental=args.incremental,
-            journal_dir=args.journal,
             store_dir=args.store,
-            day_shards=args.day_shards,
             rate_limit_per_second=args.rate_limit,
             burst=args.burst,
             max_clients=args.max_clients,
@@ -833,29 +794,11 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="inference worker processes (default: one per CPU core)",
     )
     parser.add_argument(
-        "--incremental", action="store_true",
-        help="day-over-day delta inference: seed from the first day, "
-             "apply per-day deltas instead of re-running the full "
-             "kernel; output is byte-identical to a full sweep",
-    )
-    parser.add_argument(
-        "--journal", default=None, metavar="DIR",
-        help="journal incremental sweeps as NRTM-style delta entries "
-             "under DIR; re-runs replay the journal and longer "
-             "windows extend it (requires --incremental)",
-    )
-    parser.add_argument(
         "--store", default=None, metavar="DIR",
         help="keep per-day pair tables and inference results as "
              "memory-mapped shard files under DIR; re-runs with an "
              "unchanged configuration map every day's result back, "
              "and other configs reuse the pair tables",
-    )
-    parser.add_argument(
-        "--day-shards", type=int, default=1, metavar="K",
-        help="split each computed day into K per-/8 sub-tasks so one "
-             "heavy day saturates the worker pool (output is "
-             "byte-identical for any K)",
     )
     _add_obs_arguments(parser)
 

@@ -7,13 +7,9 @@
   one columnar per-day kernel (packed arrays, sorted-array covers),
 - :mod:`~repro.delegation.consistency` — the "(M, N)" consistency-rule
   family, gap filling, and fail-rate evaluation,
-- :mod:`~repro.delegation.runner` — parallel day fan-out with a
-  zero-copy shared-memory fan-in, content-addressed result shards in
-  the ``--store`` shard store, and an ``--incremental`` mode that
-  replays / extends a day-over-day delta journal,
-- :mod:`~repro.delegation.delta` — day-over-day :class:`PairTable`
-  deltas, the incremental filter state machine, and the NRTM-style
-  hash-chained delta journal,
+- :mod:`~repro.delegation.runner` — parallel whole-day fan-out with a
+  zero-copy shared-memory fan-in and content-addressed result shards
+  in the ``--store`` shard store,
 - :mod:`~repro.delegation.rpki_eval` — Fig. 5: rule validation against
   RPKI delegation timelines,
 - :mod:`~repro.delegation.rdap_extract` — the RDAP pipeline (§4),
@@ -31,16 +27,6 @@ from repro.delegation.consistency import (
     ConsistencyRule,
     evaluate_rule,
     fill_gaps,
-)
-from repro.delegation.delta import (
-    DeltaJournal,
-    DeltaState,
-    LiveDeltaHandle,
-    PairDelta,
-    apply_delta,
-    diff_pair_tables,
-    journal_key,
-    journal_path,
 )
 from repro.delegation.io import (
     read_daily_delegations,
@@ -68,14 +54,6 @@ __all__ = [
     "CoverageReport",
     "DailyDelegations",
     "DelegationInference",
-    "DeltaJournal",
-    "DeltaState",
-    "LiveDeltaHandle",
-    "PairDelta",
-    "apply_delta",
-    "diff_pair_tables",
-    "journal_key",
-    "journal_path",
     "FusedDelegation",
     "FusionReport",
     "InferenceConfig",

@@ -145,11 +145,6 @@ class InferenceResult:
     #: :class:`~repro.delegation.runner.RunnerStats`); ``None`` for
     #: plain sequential runs.
     runner_stats: Optional[object] = None
-    #: Populated by incremental runner sweeps (a
-    #: :class:`~repro.delegation.delta.LiveDeltaHandle`): the journaled
-    #: filter state the serving layer keeps to apply new-day deltas in
-    #: place.  ``None`` for full recomputes.
-    delta_handle: Optional[object] = None
 
     def counts_series(self) -> List[Tuple[datetime.date, int]]:
         """(date, #delegations) — the Fig. 6 top series."""

@@ -32,11 +32,9 @@ def canonical_json(payload: object) -> str:
 def content_digest(payload: object) -> str:
     """sha256 hex digest of the canonical JSON form of ``payload``.
 
-    The shared content-address primitive: the runner's per-day v2
-    cache keys and the delta journal's file names and hash-chained
-    entry digests (:mod:`repro.delegation.delta`) all address content
-    through here, so one definition of "same payload" governs every
-    on-disk artifact.
+    The content-address primitive behind the shard store's input keys
+    and the runner's per-day result keys, so one definition of "same
+    payload" governs every on-disk artifact.
     """
     return hashlib.sha256(
         canonical_json(payload).encode("utf-8")

@@ -7,10 +7,10 @@ fully determined by the inference configuration plus the input data,
 so this module provides:
 
 - **day fan-out** across a :class:`concurrent.futures.
-  ProcessPoolExecutor` — the date range is sharded into contiguous
-  chunks, each worker builds its route stream once (from a picklable
-  *stream factory*) and reuses it for every day of its shard, and the
-  as2org snapshots are shipped to each worker once at pool start-up
+  ProcessPoolExecutor` — the date range is split into contiguous
+  chunks of whole days, each worker builds its route stream once (from
+  a picklable *stream factory*) and reuses it for every day it runs,
+  and the as2org snapshots are shipped to each worker once at pool start-up
   instead of being re-loaded per day;
 - **zero-copy result fan-in** — workers pack each chunk's per-day
   payloads into one shared-memory segment in the compact v2 ``RPD2``
@@ -45,7 +45,6 @@ import concurrent.futures
 import datetime
 import hashlib
 import itertools
-import json
 import logging
 import os
 import pathlib
@@ -55,21 +54,11 @@ import time
 from array import array
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.asorg.as2org import As2OrgDataset
 from repro.bgp.rib import PairTable
 from repro.bgp.stream import RouteStream, date_range
-from repro.delegation import delta as delta_mod
 from repro.delegation.consistency import fill_gaps
 from repro.delegation.inference import (
     DelegationInference,
@@ -80,14 +69,10 @@ from repro.delegation.inference import (
 from repro.delegation.io import content_digest
 from repro.delegation.model import DailyDelegations
 from repro.errors import ReproError
-from repro.netbase.lpm import day_shard_bounds, require_codec_itemsizes
+from repro.netbase.lpm import require_codec_itemsizes
 from repro.netbase.prefix import IPv4Prefix
 from repro.obs.metrics import NULL, MetricsRegistry
-from repro.store.shard import (
-    ShardStore,
-    decode_shard_buffer,
-    encode_shard_bytes,
-)
+from repro.store.shard import ShardStore
 
 require_codec_itemsizes()
 
@@ -115,8 +100,8 @@ class WorldStreamFactory:
     The scenario config is a small frozen dataclass, so shipping the
     factory to a worker costs a few hundred bytes; the worker then
     regenerates its own deterministic world (topology, propagation,
-    announcement source) exactly once and serves every day of its
-    shard from it.
+    announcement source) exactly once and serves every day it runs
+    from it.
     """
 
     scenario: object  # repro.simulation.scenario.ScenarioConfig
@@ -176,18 +161,10 @@ class RunnerStats:
 
     jobs: int
     days_total: int
-    #: Days served without computing: result-shard hits, or journal
-    #: replays on incremental sweeps.
+    #: Days served from result shards without computing.
     days_from_cache: int
     days_computed: int
     elapsed_seconds: float
-    #: Incremental-mode accounting: journal-replayed days never touch
-    #: the stream at all; fast-pathed days reused the previous day's
-    #: delegation rows because their delta left the survivors alone.
-    incremental: bool = False
-    days_replayed: int = 0
-    days_fastpathed: int = 0
-    journal: Optional[str] = None
     #: The shard store directory, when the run was store-backed.
     store_dir: Optional[str] = None
 
@@ -246,14 +223,11 @@ _COUNTER_FIELDS = (
 def _quads_body_bytes(quads) -> bytes:
     """The flat little-endian u32 body for any quad sequence.
 
-    Zero-copy fan-in views and shard-merged concatenations have the
-    bytes (or their parts' bytes) already in payload order, so they
-    re-encode without touching a single quad tuple.
+    Zero-copy fan-in views have the bytes already in payload order, so
+    they re-encode without touching a single quad tuple.
     """
     if isinstance(quads, _QuadView):
         return quads.tobytes()
-    if isinstance(quads, _ConcatQuads):
-        return b"".join(_quads_body_bytes(part) for part in quads.parts)
     body = array("I")
     for quad in quads:
         body.extend(quad)
@@ -394,8 +368,8 @@ def _ship_chunk(blobs: List[bytes], entries: List[tuple]) -> tuple:
     """Pack a chunk's encoded days into one segment for the parent.
 
     Returns ``("shm", name, size, entries)`` where each entry is
-    ``(offset, length, shard, shard_count)`` — everything the parent
-    needs to rebuild zero-copy payload views in :func:`_receive_chunk`.
+    ``(offset, length)`` — everything the parent needs to rebuild
+    zero-copy payload views in :func:`_receive_chunk`.
     Without a segment the same bytes travel pickled instead:
     ``("bytes", data, entries)``.
     """
@@ -404,7 +378,7 @@ def _ship_chunk(blobs: List[bytes], entries: List[tuple]) -> tuple:
     if segment is None:
         return ("bytes", b"".join(blobs), entries)
     try:
-        for blob, (offset, length, _shard, _count) in zip(blobs, entries):
+        for blob, (offset, length) in zip(blobs, entries):
             segment.buf[offset:offset + length] = blob
         name = segment.name
     except BaseException:
@@ -452,7 +426,7 @@ class _QuadView:
     """Zero-copy sequence view over a payload's flat u32 quad body.
 
     Satisfies everything the fan-in and the result-shard writer need
-    from ``payload["delegations"]`` — ``len``, iteration, indexing,
+    from ``payload["delegations"]`` — ``len``, iteration,
     re-encoding — while the quads stay in the shared-memory segment
     (or result-shard map) they arrived in.  Little-endian hosts only;
     :func:`_decode_payload` decodes a tuple list elsewhere.
@@ -466,16 +440,6 @@ class _QuadView:
     def __len__(self) -> int:
         return len(self._words) // 4
 
-    def __getitem__(self, index: int) -> tuple:
-        if index < 0:
-            index += len(self)
-        base = index * 4
-        words = self._words
-        return (
-            words[base], words[base + 1],
-            words[base + 2], words[base + 3],
-        )
-
     def __iter__(self):
         words = self._words
         for base in range(0, len(words), 4):
@@ -486,28 +450,6 @@ class _QuadView:
 
     def tobytes(self) -> bytes:
         return self._words.tobytes()
-
-
-class _ConcatQuads:
-    """One day's quads stitched from its per-/8 shard parts.
-
-    The parts are concatenated lazily, in shard order; the cut
-    invariant behind :func:`~repro.netbase.lpm.day_shard_bounds`
-    guarantees that order equals the unsharded day's sorted quad
-    sequence, so no merge pass (let alone a re-sort) ever runs.
-    """
-
-    __slots__ = ("parts", "_length")
-
-    def __init__(self, parts: List) -> None:
-        self.parts = parts
-        self._length = sum(len(part) for part in parts)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self.parts)
 
 
 class _FanInReceiver:
@@ -598,7 +540,7 @@ def _receive_chunk(shipped: tuple, receiver: _FanInReceiver) -> List[dict]:
         receiver.pickled_bytes += len(buf)
         source = "a pickled chunk"
     payloads = []
-    for offset, length, shard, shard_count in entries:
+    for offset, length in entries:
         view = receiver.view(buf, offset, length)
         payload = _decode_payload(view)
         if payload is None:
@@ -606,49 +548,8 @@ def _receive_chunk(shipped: tuple, receiver: _FanInReceiver) -> List[dict]:
                 "result fan-in: malformed payload entry at offset "
                 f"{offset} of {source}"
             )
-        payload["shard"] = shard
-        payload["shard_count"] = shard_count
         payloads.append(payload)
     return payloads
-
-
-def _merge_day_payloads(parts: List[dict]) -> dict:
-    """Merge one day's per-/8 shard payloads into the full day.
-
-    Counters add exactly (every pair lands in exactly one shard) and
-    the quads concatenate in shard order because every cut point
-    satisfies the running-max invariant — checked here across part
-    boundaries, so a violated invariant surfaces as an error instead
-    of silently unsorted output.
-    """
-    parts = sorted(parts, key=lambda part: part["shard"])
-    date = parts[0]["date"]
-    counters = {name: 0 for name in _COUNTER_FIELDS}
-    quad_parts = []
-    last_packed = None
-    for part in parts:
-        for name in _COUNTER_FIELDS:
-            counters[name] += part["counters"][name]
-        quads = part["delegations"]
-        if len(quads) == 0:
-            continue
-        first = quads[0]
-        if last_packed is not None and (
-            (first[0] << 6) | first[1]
-        ) <= last_packed:
-            raise ReproError(
-                f"day-shard merge for {date.isoformat()}: shard "
-                f"{part['shard']} overlaps its predecessor — the "
-                "per-/8 cut invariant was violated"
-            )
-        tail = quads[len(quads) - 1]
-        last_packed = (tail[0] << 6) | tail[1]
-        quad_parts.append(quads)
-    return {
-        "date": date,
-        "delegations": _ConcatQuads(quad_parts),
-        "counters": counters,
-    }
 
 
 def _result_shard_read(
@@ -750,34 +651,11 @@ class _DaySource:
         return table, total_monitors
 
 
-def _day_shard_table(
-    source: _DaySource, date: datetime.date, shard_count: int
-) -> Tuple[PairTable, int, List[Tuple[int, int]]]:
-    """One day's full table plus its per-/8 cut bounds, memoized.
-
-    Sub-day tasks for the same day frequently land on the same worker
-    back-to-back, and re-mapping (or worse, re-aggregating) the day
-    once per sub-task would dominate the sharded kernel work — so the
-    worker keeps exactly one day's table and bounds around.
-    """
-    memo = _WORKER_STATE.get("day_memo")
-    if memo is not None and memo[0] == (date, shard_count):
-        return memo[1], memo[2], memo[3]
-    table, total_monitors = source.table_on(date)
-    bounds = day_shard_bounds(table.keys, shard_count)
-    _WORKER_STATE["day_memo"] = (
-        (date, shard_count), table, total_monitors, bounds
-    )
-    return table, total_monitors, bounds
-
-
 def _compute_day_payload(
     source: _DaySource,
     inference: DelegationInference,
     date: datetime.date,
     metrics: MetricsRegistry = NULL,
-    shard: int = 0,
-    shard_count: int = 1,
 ) -> dict:
     """Steps (i)–(iv) for one day, as a numeric payload.
 
@@ -789,23 +667,11 @@ def _compute_day_payload(
     source is store-backed.  Kernel rows are key-ascending and keys
     order exactly like ``(network, length, ...)`` tuples, so the
     quads come out sorted without a sort.
-
-    With ``shard_count > 1`` the call computes only the day's
-    ``shard``-th per-/8 slice: the fused filter kernel runs over
-    ``table.slice(lo, hi)``, and the parent reassembles the slices
-    with :func:`_merge_day_payloads`.
     """
     scratch = InferenceResult(
         daily=DailyDelegations(), config=inference.config
     )
-    if shard_count > 1:
-        table, total_monitors, bounds = _day_shard_table(
-            source, date, shard_count
-        )
-        low, high = bounds[shard]
-        table = table.slice(low, high)
-    else:
-        table, total_monitors = source.table_on(date)
+    table, total_monitors = source.table_on(date)
     rows = inference._table_delegation_rows(
         table, total_monitors, date, scratch, metrics=metrics,
     )
@@ -823,8 +689,6 @@ def _compute_day_payload(
                 scratch.delegations_dropped_same_org,
             "bogon_prefix": scratch.sanitize_stats.bogon_prefix,
         },
-        "shard": shard,
-        "shard_count": shard_count,
     }
 
 
@@ -921,17 +785,16 @@ def _worker_source() -> _DaySource:
 
 
 def _worker_run_chunk(
-    tasks: Sequence[tuple],
+    tasks: Sequence[datetime.date],
 ) -> Tuple[tuple, Optional[MetricsRegistry]]:
-    """Execute steps (i)–(iv) for one chunk of (sub-)day tasks.
+    """Execute steps (i)–(iv) for one chunk of days.
 
-    Each task is ``(date, shard, shard_count)`` — whole days when
-    ``shard_count == 1``, per-/8 slices otherwise.  Every finished
-    day is encoded to its v2 bytes at once, so a chunk holds compact
-    bytes rather than quad tuples and worker memory stays flat however
-    many days a chunk spans.  Returns the :func:`_ship_chunk`
-    descriptor plus the chunk's metrics registry (``None`` when the
-    run is uninstrumented).
+    Each task is one whole day.  Every finished day is encoded to its
+    v2 bytes at once, so a chunk holds compact bytes rather than quad
+    tuples and worker memory stays flat however many days a chunk
+    spans.  Returns the :func:`_ship_chunk` descriptor plus the
+    chunk's metrics registry (``None`` when the run is
+    uninstrumented).
     """
     source = _worker_source()
     inference = _WORKER_STATE.get("inference")
@@ -948,34 +811,24 @@ def _worker_run_chunk(
     blobs: List[bytes] = []
     entries: List[tuple] = []
     offset = 0
-    for date, shard, shard_count in tasks:
+    for date in tasks:
         if registry is None:
-            payload = _compute_day_payload(
-                source, inference, date,
-                shard=shard, shard_count=shard_count,
-            )
+            payload = _compute_day_payload(source, inference, date)
         else:
             # A span (not a bare observe) so the same per-day timing
             # also lands on the trace timeline and in the profile
             # gauges; the worker's span stack is empty, so the timer
-            # keeps its historical name.  Sub-day slices time under
-            # their own name, so traces show per-/8 lanes distinctly
-            # from whole days.
-            span_name = (
-                "runner.compute.dayshard" if shard_count > 1
-                else "runner.compute.day"
-            )
-            with registry.span(span_name):
+            # keeps its historical name.
+            with registry.span("runner.compute.day"):
                 payload = _compute_day_payload(
                     source, inference, date, registry,
-                    shard=shard, shard_count=shard_count,
                 )
         blob = _encode_payload(payload)
         # Drop the quad tuples now, not when the next day rebinds the
         # name: the next day's compute must not run on top of them.
         del payload
         blobs.append(blob)
-        entries.append((offset, len(blob), shard, shard_count))
+        entries.append((offset, len(blob)))
         offset += len(blob)
     if registry is not None:
         registry.inc("runner.chunks")
@@ -986,95 +839,6 @@ def _worker_run_chunk(
     return _ship_chunk(blobs, entries), registry
 
 
-def _worker_diff_chunk(
-    dates: Sequence[datetime.date],
-    prev_date: Optional[datetime.date],
-) -> Tuple[List[tuple], Optional[MetricsRegistry]]:
-    """Diff one shard of consecutive days against their predecessors.
-
-    Each worker rebuilds its chunk's anchor day (``prev_date``; one
-    duplicated table build per chunk — streams are deterministic, so
-    the anchor equals the previous chunk's last table exactly; with a
-    warm shard store the rebuild is a zero-copy map) and returns small
-    ``("delta", date, PairDelta)`` items; the first chunk of a cold
-    sweep hands the full seed table back via :func:`_seed_item` —
-    by store reference or shared-memory segment when possible, only
-    *materializing* (store-backed tables are views into this worker's
-    private mapping and must never be pickled) as a last resort.  The
-    parent applies the items in order through one
-    :class:`~repro.delegation.delta.DeltaState`.
-    """
-    source = _worker_source()
-    registry: Optional[MetricsRegistry] = None
-    if _WORKER_STATE.get("instrument"):
-        registry = _worker_registry()
-        source.set_metrics(registry)
-        materialized_before = PairTable.materialize_count
-    span = registry.span if registry is not None else None
-    items: List[tuple] = []
-    if prev_date is None:
-        prev_table, total_monitors = source.table_on(dates[0])
-        items.append(
-            _seed_item(source, dates[0], prev_table, total_monitors)
-        )
-        rest = dates[1:]
-    else:
-        prev_table, total_monitors = source.table_on(prev_date)
-        rest = dates
-    for date in rest:
-        if span is not None:
-            with span("runner.diff.day"):
-                table, total_monitors = source.table_on(date)
-                day_delta = delta_mod.diff_pair_tables(prev_table, table)
-        else:
-            table, total_monitors = source.table_on(date)
-            day_delta = delta_mod.diff_pair_tables(prev_table, table)
-        items.append(("delta", date, day_delta, total_monitors))
-        prev_table = table
-    if registry is not None:
-        registry.inc("runner.chunks")
-        registry.inc(
-            "pairtable.materialized",
-            PairTable.materialize_count - materialized_before,
-        )
-    return items, registry
-
-
-def _seed_item(
-    source: _DaySource,
-    date: datetime.date,
-    table: PairTable,
-    total_monitors: int,
-) -> tuple:
-    """How a delta seed table travels back to the parent, cheapest first.
-
-    With a store attached the table already lives there (a miss in
-    :meth:`_DaySource.table_on` writes through), so the worker ships a
-    date-sized reference and the parent re-maps the shard.  Otherwise
-    the zero-copy transport serializes the table into a shared-memory
-    segment in the RPSHARD3 layout; only when both are unavailable
-    does the seed travel as a pickled table (copied out of any mapping
-    first, which ``pairtable.materialized`` counts).
-    """
-    if source.store is not None:
-        return ("seed_ref", date, total_monitors)
-    blob = encode_shard_bytes(date, table, total_monitors)
-    segment = _create_worker_segment(
-        len(blob), _WORKER_STATE["shm_prefix"]
-    )
-    if segment is None:
-        return ("seed", date, table.materialize(), total_monitors)
-    try:
-        segment.buf[:len(blob)] = blob
-        name = segment.name
-    except BaseException:
-        segment.unlink()
-        raise
-    finally:
-        segment.close()
-    return ("seed_shm", date, name, len(blob), total_monitors)
-
-
 # -- parent side ----------------------------------------------------------
 
 
@@ -1082,68 +846,38 @@ def _chunk(items: Sequence, size: int) -> List[List]:
     return [list(items[i:i + size]) for i in range(0, len(items), size)]
 
 
-def _resolve_seed_item(
-    item: tuple,
-    store: Optional[ShardStore],
-    receiver: _FanInReceiver,
-) -> tuple:
-    """Rehydrate a worker's seed hand-back into a plain seed item.
-
-    ``seed_ref`` re-maps the day straight from the shard store;
-    ``seed_shm`` adopts the worker's segment (unlinked on attach, like
-    every fan-in segment) and rebuilds a buffer-backed table over it.
-    Plain items pass through untouched.
-    """
-    kind = item[0]
-    if kind == "seed_ref":
-        _kind, date, total_monitors = item
-        loaded = store.load(date) if store is not None else None
-        if loaded is None:
-            raise ReproError(
-                "delta seed hand-back: the seed shard for "
-                f"{date.isoformat()} vanished from the store"
-            )
-        table, total_monitors = loaded
-        return ("seed", date, table, total_monitors)
-    if kind == "seed_shm":
-        _kind, date, name, size, _total_monitors = item
-        buf = receiver.adopt_segment(name, size)
-        view = receiver.view(buf, 0, size)
-        decoded = decode_shard_buffer(view, expected_date=date)
-        if decoded is None:
-            raise ReproError(
-                "delta seed hand-back: malformed shared-memory seed "
-                f"segment for {date.isoformat()}"
-            )
-        table, total_monitors = decoded
-        return ("seed", date, table, total_monitors)
-    return item
+def _chunk_size(items: int, jobs: int) -> int:
+    """How many items per chunk give each worker about
+    ``_CHUNKS_PER_WORKER`` chunks."""
+    workers = min(jobs, items)
+    return max(1, -(-items // (workers * _CHUNKS_PER_WORKER)))
 
 
-def _run_pool(
+def _compute_parallel(
     stream_factory: StreamFactory,
     config: InferenceConfig,
     as2org: Optional[As2OrgDataset],
+    missing: Sequence[datetime.date],
     jobs: int,
     metrics: MetricsRegistry,
     store: Optional[ShardStore],
-    worker: Callable,
-    calls: Sequence[tuple],
-    consume: Callable[[Any], None],
-    what: str,
-) -> None:
-    """Run ``worker(*args)`` for every ``args`` in ``calls`` on a pool.
+    receiver: _FanInReceiver,
+) -> List[dict]:
+    """Fan the missing days out over a process pool.
 
-    Results are handed to ``consume`` in submission order, together
-    with merging each chunk's metrics registry.  Workers mirror the
-    parent's capabilities (a tracing parent gets per-lane worker
-    traces, a profiling parent gets worker-side peak gauges); a store
-    is forwarded as ``(directory, fingerprint)`` strings, so workers
-    map shards themselves instead of the parent pickling inputs to
-    them.  Any worker failure surfaces as :class:`ReproError`, and
-    every exit path sweeps the run's shared-memory segments after the
-    pool shuts down.
+    Chunks come back in submission order through ``receiver``, each
+    together with its worker's metrics registry (``None`` when the
+    run is uninstrumented), so per-day timings and stream counters
+    survive the fan-in.  Workers mirror the parent's capabilities (a
+    tracing parent gets per-lane worker traces, a profiling parent
+    gets worker-side peak gauges); a store is forwarded as
+    ``(directory, fingerprint)`` strings, so workers map shards
+    themselves instead of the parent pickling inputs to them.  Any
+    worker failure surfaces as :class:`ReproError`, and every exit
+    path sweeps the run's shared-memory segments after the pool shuts
+    down.
     """
+    chunks = _chunk(missing, _chunk_size(len(missing), jobs))
     prefix = _shm_run_prefix()
     # One tracker, owned by this process and inherited by every
     # worker: worker-side segment registrations and parent-side
@@ -1151,7 +885,7 @@ def _run_pool(
     # spurious leak warnings.
     resource_tracker.ensure_running()
     executor = concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(jobs, len(calls)),
+        max_workers=min(jobs, len(chunks)),
         initializer=_init_worker,
         initargs=(
             stream_factory, config, as2org, metrics.enabled,
@@ -1162,18 +896,24 @@ def _run_pool(
             prefix,
         ),
     )
+    payloads: List[dict] = []
     try:
-        futures = [executor.submit(worker, *args) for args in calls]
+        # The worker is looked up here, at submit time, so a wrapper
+        # installed on the module attribute (tracing) runs in the pool.
+        futures = [
+            executor.submit(_worker_run_chunk, chunk) for chunk in chunks
+        ]
         for future in futures:
             try:
-                value, worker_registry = future.result()
+                shipped, worker_registry = future.result()
             except ReproError:
                 raise
             except Exception as exc:
                 raise ReproError(
-                    f"{what} worker failed: {type(exc).__name__}: {exc}"
+                    "delegation-inference worker failed: "
+                    f"{type(exc).__name__}: {exc}"
                 ) from exc
-            consume(value)
+            payloads.extend(_receive_chunk(shipped, receiver))
             if worker_registry is not None:
                 metrics.merge(worker_registry)
                 metrics.inc("runner.worker_registries_merged")
@@ -1182,239 +922,7 @@ def _run_pool(
         swept = _sweep_segments(prefix)
         if swept:
             metrics.inc("fanin.segments_swept", swept)
-
-
-def _chunk_size(items: int, jobs: int) -> int:
-    """How many items per chunk give each worker about
-    ``_CHUNKS_PER_WORKER`` chunks."""
-    workers = min(jobs, items)
-    return max(1, -(-items // (workers * _CHUNKS_PER_WORKER)))
-
-
-def _diff_parallel(
-    stream_factory: StreamFactory,
-    config: InferenceConfig,
-    as2org: Optional[As2OrgDataset],
-    dates: Sequence[datetime.date],
-    prev_date: Optional[datetime.date],
-    jobs: int,
-    metrics: MetricsRegistry,
-    store: Optional[ShardStore],
-    receiver: _FanInReceiver,
-) -> List[tuple]:
-    """Fan day-over-day diffing out over a process pool.
-
-    Chunks are contiguous; chunk *c* anchors on the last date of chunk
-    *c − 1* (or ``prev_date`` / a fresh seed for the first), so every
-    delta item still describes consecutive sweep days.  The items come
-    back small — applying them stays sequential in the parent, where
-    the single :class:`~repro.delegation.delta.DeltaState` lives.  The
-    only potentially large item, the first chunk's seed table, takes
-    the zero-copy route (see :func:`_seed_item`).
-    """
-    chunks = _chunk(dates, _chunk_size(len(dates), jobs))
-    anchors: List[Optional[datetime.date]] = [prev_date] + [
-        chunk[-1] for chunk in chunks[:-1]
-    ]
-    items: List[tuple] = []
-
-    def consume(chunk_items: List[tuple]) -> None:
-        for item in chunk_items:
-            items.append(_resolve_seed_item(item, store, receiver))
-
-    _run_pool(
-        stream_factory, config, as2org, jobs, metrics, store,
-        _worker_diff_chunk, list(zip(chunks, anchors)), consume,
-        "delegation-delta",
-    )
-    return items
-
-
-def _run_incremental(
-    stream_factory: StreamFactory,
-    config: InferenceConfig,
-    as2org: Optional[As2OrgDataset],
-    dates: Sequence[datetime.date],
-    step_days: int,
-    jobs: int,
-    journal_dir: Optional[Union[str, pathlib.Path]],
-    metrics: MetricsRegistry,
-    store: Optional[ShardStore],
-    receiver: _FanInReceiver,
-) -> Tuple[Dict[datetime.date, dict], dict]:
-    """The incremental sweep: journal replay, then delta compute.
-
-    Replay folds the journal's stored row deltas and counters — no
-    stream build, no classification, no cover pass; only a partial
-    replay (more days requested than journaled) additionally rebuilds
-    the :class:`~repro.delegation.delta.DeltaState` from the pair
-    deltas so computation can continue where the journal ends.  Every
-    newly computed day is journaled *before* its payload is used, so a
-    crash anywhere resumes from the last appended day.
-    """
-    info = {
-        "days_replayed": 0,
-        "days_fastpathed": 0,
-        "days_computed": 0,
-        "rows": [],
-        "journal": None,
-    }
-    payloads: Dict[datetime.date, dict] = {}
-    if not dates:
-        return payloads, info
-
-    journal: Optional[delta_mod.DeltaJournal] = None
-    entries: List[dict] = []
-    if journal_dir is not None:
-        fingerprint = getattr(stream_factory, "fingerprint", None)
-        if fingerprint is None:
-            raise ReproError(
-                "journaling requires a stream factory with a "
-                "fingerprint() identifying its input data"
-            )
-        as2org_fp = (
-            as2org.fingerprint() if config.same_org_filter else None
-        )
-        key = delta_mod.journal_key(
-            config, fingerprint(), as2org_fp, dates[0], step_days
-        )
-        journal = delta_mod.DeltaJournal(
-            delta_mod.journal_path(journal_dir, key)
-        )
-        info["journal"] = str(journal.path)
-        entries = journal.read()
-
-    state: Optional[delta_mod.DeltaState] = None
-    rows: List[Tuple[int, int, int]] = []
-    pairs_added = pairs_removed = 0
-    usable = entries[:len(dates)]
-    # Partial replays must hand a live DeltaState to the compute loop;
-    # full replays never need one (rows and counters are stored).
-    need_state = len(usable) < len(dates)
-
-    with metrics.span("runner.incremental.replay"):
-        replayed = 0
-        for k, entry in enumerate(usable):
-            if entry["date"] != dates[k].isoformat():
-                # A valid chain with the wrong dates is a foreign
-                # journal (the key should prevent this) — fall back to
-                # computing, and never append behind its tail.
-                logger.warning(
-                    "delta journal %s: entry %d dated %s, expected "
-                    "%s; ignoring the journal from here",
-                    journal.path if journal else "<none>",
-                    k + 1, entry["date"], dates[k].isoformat(),
-                )
-                journal = None
-                need_state = True
-                break
-            if entry["kind"] == "seed":
-                rows = [tuple(row) for row in entry["quads"]]
-                if need_state:
-                    state = delta_mod.DeltaState(
-                        config, int(entry["total_monitors"])
-                    )
-                    state.seed(delta_mod.table_from_entry(entry))
-            else:
-                rows = delta_mod.fold_entry_rows(rows, entry)
-                if need_state:
-                    state.apply(delta_mod.delta_from_entry(entry))
-            payloads[dates[k]] = {
-                "date": dates[k],
-                "delegations": delta_mod.rows_to_quads(rows),
-                "counters": dict(entry["counters"]),
-            }
-            replayed += 1
-        info["days_replayed"] = replayed
-    # Appending must continue the on-disk serial sequence: a journal
-    # holding *more* days than this narrower window stays read-only.
-    writable = journal is not None and journal.serial == replayed
-
-    remaining = list(dates[replayed:])
-    info["days_computed"] = len(remaining)
-    if remaining:
-        serial = replayed
-        with metrics.span("runner.incremental.compute"):
-            if jobs > 1 and len(remaining) > 1:
-                # Without a live state to continue from (cold start or
-                # a foreign-journal fallback) the first worker chunk
-                # must produce a fresh seed.
-                prev_date = (
-                    dates[replayed - 1]
-                    if replayed and state is not None else None
-                )
-                items = _diff_parallel(
-                    stream_factory, config, as2org, remaining,
-                    prev_date, jobs, metrics, store, receiver,
-                )
-            else:
-                items = None
-            if items is None:
-                source = _DaySource(stream_factory, store, metrics)
-                prev_table = (
-                    state.to_table() if state is not None else None
-                )
-
-                def _iter_items():
-                    nonlocal prev_table
-                    for date in remaining:
-                        table, total_monitors = source.table_on(date)
-                        if prev_table is None:
-                            yield ("seed", date, table, total_monitors)
-                        else:
-                            yield (
-                                "delta", date,
-                                delta_mod.diff_pair_tables(
-                                    prev_table, table
-                                ),
-                                total_monitors,
-                            )
-                        prev_table = table
-
-                items = _iter_items()
-            for kind, date, obj, total_monitors in items:
-                snapshot = (
-                    as2org.snapshot_for(date)
-                    if config.same_org_filter else None
-                )
-                serial += 1
-                if kind == "seed":
-                    state = delta_mod.DeltaState(config, total_monitors)
-                    state.seed(obj)
-                    new_rows, dropped, _fast = state.day_rows(snapshot)
-                    counters = state.day_counters(dropped)
-                    entry = delta_mod.seed_entry(
-                        date, obj, total_monitors, counters, new_rows
-                    )
-                else:
-                    state.apply(obj)
-                    pairs_added += len(obj.upsert_keys)
-                    pairs_removed += len(obj.removed)
-                    new_rows, dropped, fast = state.day_rows(snapshot)
-                    if fast:
-                        info["days_fastpathed"] += 1
-                    counters = state.day_counters(dropped)
-                    prev_set = set(rows)
-                    new_set = set(new_rows)
-                    entry = delta_mod.delta_entry(
-                        serial, date, obj, counters,
-                        sorted(new_set - prev_set),
-                        sorted(prev_set - new_set),
-                    )
-                rows = new_rows
-                if writable:
-                    journal.append(entry)
-                payloads[date] = {
-                    "date": date,
-                    "delegations": delta_mod.rows_to_quads(rows),
-                    "counters": counters,
-                }
-    info["rows"] = list(rows)
-    metrics.inc("runner.delta.pairs_added", pairs_added)
-    metrics.inc("runner.delta.pairs_removed", pairs_removed)
-    metrics.inc("runner.delta.days_replayed", info["days_replayed"])
-    metrics.inc("runner.delta.days_fastpathed", info["days_fastpathed"])
-    return payloads, info
+    return payloads
 
 
 def run_inference(
@@ -1427,25 +935,22 @@ def run_inference(
     step_days: int = 1,
     jobs: Optional[int] = None,
     metrics: MetricsRegistry = NULL,
-    incremental: bool = False,
-    journal_dir: Optional[Union[str, pathlib.Path]] = None,
     store_dir: Optional[Union[str, pathlib.Path]] = None,
-    day_shards: int = 1,
 ) -> InferenceResult:
     """Run the full pipeline over ``[start, end)``, in parallel.
 
     ``stream_factory`` must be a zero-argument callable returning the
     :class:`RouteStream` to read (e.g. :class:`WorldStreamFactory`);
-    with ``jobs > 1`` it must be picklable, and with ``store_dir`` or
-    ``journal_dir`` set it must additionally expose a
-    ``fingerprint()`` identifying the input data.  ``jobs=None`` uses
-    ``os.cpu_count()``; ``jobs=1`` never spawns a process pool — the
-    fan-out runs inline in this process, so a single-job cold run
-    costs no more than the sequential path.  Pool runs return their
-    results through shared memory (see the fan-in notes above);
-    segments are unlinked the moment the parent attaches them and
-    swept by prefix after every pool shutdown, so no exit path
-    (completion, worker crash, interrupt) leaks one.
+    with ``jobs > 1`` it must be picklable, and with ``store_dir`` set
+    it must additionally expose a ``fingerprint()`` identifying the
+    input data.  ``step_days`` samples every n-th day of the window.
+    ``jobs=None`` uses ``os.cpu_count()``; ``jobs=1`` never spawns a
+    process pool — the fan-out runs inline in this process, so a
+    single-job cold run costs no more than the sequential path.  Pool
+    runs return their results through shared memory (see the fan-in
+    notes above); segments are unlinked the moment the parent
+    attaches them and swept by prefix after every pool shutdown, so
+    no exit path (completion, worker crash, interrupt) leaks one.
 
     ``metrics`` (when not the no-op default) receives nested stage
     spans (``runner.cache_probe`` / ``runner.compute`` /
@@ -1454,62 +959,31 @@ def run_inference(
     registries), and the per-filter attrition counters shared with the
     sequential path.
 
-    ``incremental=True`` switches the sweep to day-over-day delta
-    inference (:mod:`repro.delegation.delta`): the first day seeds the
-    filter state, every later day applies a
-    :class:`~repro.delegation.delta.PairDelta` instead of re-running
-    the full kernel, and the output stays byte-identical (the
-    differential suite enforces it).  With ``journal_dir`` set the
-    sweep is journaled under a content-addressed JSONL file there:
-    re-runs replay the journal without touching the stream at all, a
-    crashed sweep resumes after its last appended day, and a *longer*
-    window extends the same journal.
-
     ``store_dir`` attaches the out-of-core shard store
     (:mod:`repro.store`), the one persistent tier.  Its input shards
     hold every day's aggregated pair table in the columnar layout,
     keyed only on the input fingerprint, so warm days are zero-copy
     maps — no stream build, no aggregation, near-flat per-process
-    memory peaks — shared by every config and by the incremental
-    path.  Full (non-incremental) sweeps also write every computed
-    day's v2 bytes through to the store's result shards, keyed on the
-    config-dependent :func:`_cache_key`; a warm re-run maps each day's
-    result directly and never runs the kernel.
-
-    ``day_shards`` splits every computed day into that many per-/8
-    sub-tasks: each runs the fused filter kernel over one top-octet
-    slice of the day's key array, and the parent stitches the slices
-    back with a deterministic k-way concatenation whose order the
-    sorted-array invariant fixes — so one internet-scale day saturates
-    the pool instead of one worker.  Output stays byte-identical for
-    any shard count.
+    memory peaks — shared by every config.  Every computed day's v2
+    bytes are also written through to the store's result shards,
+    keyed on the config-dependent :func:`_cache_key`; a warm re-run
+    maps each day's result directly and never runs the kernel.
 
     Returns an :class:`InferenceResult` byte-identical (in its
     ``daily`` delegations) to the sequential
     :meth:`DelegationInference.infer_range`, with ``runner_stats``
-    describing the fan-out and result-shard behaviour (including, for
-    incremental sweeps, replay/fast-path accounting) and — for
-    incremental sweeps — a ``delta_handle`` the serving layer can
-    keep applying new-day entries to.
+    describing the fan-out and result-shard behaviour.
     """
     began = time.perf_counter()
     config = config or InferenceConfig()
     if config.same_org_filter and as2org is None:
         raise ReproError("same_org_filter requires an as2org dataset")
-    if journal_dir is not None and not incremental:
-        raise ReproError("journal_dir requires incremental=True")
-    if day_shards < 1:
-        raise ReproError("day_shards must be at least 1")
-    if day_shards > 1 and incremental:
-        raise ReproError(
-            "day_shards cannot combine with incremental=True "
-            "(the delta path diffs whole days)"
-        )
-
-    dates = list(date_range(start, end, step_days))
+    if step_days < 1:
+        raise ReproError(f"step_days must be at least 1 (got {step_days})")
     resolved_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     if resolved_jobs < 1:
         raise ReproError("jobs must be at least 1")
+    dates = list(date_range(start, end, step_days))
 
     store: Optional[ShardStore] = None
     if store_dir is not None:
@@ -1520,12 +994,9 @@ def run_inference(
                 "fingerprint() identifying its input data"
             )
         store = ShardStore(store_dir, fingerprint(), metrics=metrics)
-    # Incremental sweeps keep per-day results in the delta journal.
-    use_result_shards = store is not None and not incremental
-    as2org_fp = (
-        as2org.fingerprint()
-        if use_result_shards and config.same_org_filter else None
-    )
+        as2org_fp = (
+            as2org.fingerprint() if config.same_org_filter else None
+        )
 
     def result_key(date: datetime.date) -> str:
         return _cache_key(
@@ -1537,18 +1008,10 @@ def run_inference(
     materialized_before = PairTable.materialize_count
     receiver = _FanInReceiver()
 
-    # Phases 1–2, incremental flavour: journal replay + delta compute.
+    # Phase 1: resolve result-shard hits.
     payload_by_date: Dict[datetime.date, dict] = {}
     missing: List[datetime.date] = []
-    inc_info: Optional[dict] = None
-    if incremental:
-        with metrics.span("runner.incremental"):
-            payload_by_date, inc_info = _run_incremental(
-                stream_factory, config, as2org, dates, step_days,
-                resolved_jobs, journal_dir, metrics, store, receiver,
-            )
-    # Phase 1: resolve result-shard hits.
-    elif use_result_shards:
+    if store is not None:
         with metrics.span("runner.cache_probe"):
             for date in dates:
                 payload = _result_shard_read(
@@ -1564,41 +1027,35 @@ def run_inference(
         missing = list(dates)
 
     # Phase 2: compute the misses — fanned out or in-process.
-    # (Incremental sweeps already produced every payload above.)
-    if not incremental:
-        computed: List[dict] = []
-        with metrics.span("runner.compute"):
-            if missing:
-                if resolved_jobs > 1 and (
-                    len(missing) > 1 or day_shards > 1
-                ):
-                    computed = _compute_parallel(
-                        stream_factory, config, as2org, missing,
-                        resolved_jobs, metrics, store, day_shards,
-                        receiver,
-                    )
-                else:
-                    # Single-job (or single-day, unsharded) runs stay
-                    # entirely in this process: forking a pool to feed
-                    # one worker can only add spawn and pickling
-                    # overhead on top of the same sequential work.
-                    source = _DaySource(stream_factory, store, metrics)
-                    inference = DelegationInference(config, as2org)
-                    for date in missing:
-                        with metrics.span("day"):
-                            computed.append(_compute_day_payload(
-                                source, inference, date, metrics,
-                            ))
-        with metrics.span("runner.cache_write"):
-            for payload in computed:
-                date = payload["date"]
-                payload_by_date[date] = payload
-                if use_result_shards:
-                    # Zero-copy payloads are a buffer copy here, never
-                    # a quad walk.
-                    store.write_result(
-                        result_key(date), _payload_to_bytes(payload)
-                    )
+    computed: List[dict] = []
+    with metrics.span("runner.compute"):
+        if resolved_jobs > 1 and len(missing) > 1:
+            computed = _compute_parallel(
+                stream_factory, config, as2org, missing,
+                resolved_jobs, metrics, store, receiver,
+            )
+        elif missing:
+            # Single-job (or single-day) runs stay entirely in this
+            # process: forking a pool to feed one worker can only add
+            # spawn and pickling overhead on top of the same
+            # sequential work.
+            source = _DaySource(stream_factory, store, metrics)
+            inference = DelegationInference(config, as2org)
+            for date in missing:
+                with metrics.span("day"):
+                    computed.append(_compute_day_payload(
+                        source, inference, date, metrics,
+                    ))
+    with metrics.span("runner.cache_write"):
+        for payload in computed:
+            date = payload["date"]
+            payload_by_date[date] = payload
+            if store is not None:
+                # Zero-copy payloads are a buffer copy here, never a
+                # quad walk.
+                store.write_result(
+                    result_key(date), _payload_to_bytes(payload)
+                )
 
     # Phase 3: fan-in, in date order, then extension (v) exactly once.
     # Consecutive days share almost all delegations, so prefixes are
@@ -1621,20 +1078,16 @@ def run_inference(
         for date in dates:
             payload = payload_by_date[date]
             result.observation_dates.append(date)
-            counters = payload.get("counters", {})
-            result.pairs_seen += counters.get("pairs_seen", 0)
-            result.pairs_dropped_visibility += counters.get(
-                "pairs_dropped_visibility", 0
-            )
-            result.pairs_dropped_origin += counters.get(
-                "pairs_dropped_origin", 0
-            )
-            result.delegations_dropped_same_org += counters.get(
-                "delegations_dropped_same_org", 0
-            )
-            result.sanitize_stats.bogon_prefix += counters.get(
-                "bogon_prefix", 0
-            )
+            counters = payload["counters"]
+            result.pairs_seen += counters["pairs_seen"]
+            result.pairs_dropped_visibility += counters[
+                "pairs_dropped_visibility"
+            ]
+            result.pairs_dropped_origin += counters["pairs_dropped_origin"]
+            result.delegations_dropped_same_org += counters[
+                "delegations_dropped_same_org"
+            ]
+            result.sanitize_stats.bogon_prefix += counters["bogon_prefix"]
             delegations_total += len(payload["delegations"])
             result.daily.record(
                 date, (_decode(quad) for quad in payload["delegations"])
@@ -1654,9 +1107,6 @@ def run_inference(
         PairTable.materialize_count - materialized_before,
     )
     receiver.close()
-    # The serving layer re-runs rule (v) over the extended window on
-    # every live apply, so it needs the pre-fill per-day record.
-    base_daily = result.daily.copy() if incremental else None
     if config.consistency_rule is not None:
         with metrics.span("runner.consistency"):
             result.daily = fill_gaps(
@@ -1665,100 +1115,18 @@ def run_inference(
             )
     record_pipeline_counters(metrics, result, delegations_total)
 
-    if inc_info is not None:
-        days_from_cache = inc_info["days_replayed"]
-        days_computed = inc_info["days_computed"]
-    else:
-        days_from_cache = len(dates) - len(missing)
-        days_computed = len(missing)
     result.runner_stats = RunnerStats(
         jobs=resolved_jobs,
         days_total=len(dates),
-        days_from_cache=days_from_cache,
-        days_computed=days_computed,
+        days_from_cache=len(dates) - len(missing),
+        days_computed=len(missing),
         elapsed_seconds=time.perf_counter() - began,
-        incremental=incremental,
-        days_replayed=(
-            inc_info["days_replayed"] if inc_info is not None else 0
-        ),
-        days_fastpathed=(
-            inc_info["days_fastpathed"] if inc_info is not None else 0
-        ),
-        journal=inc_info["journal"] if inc_info is not None else None,
         store_dir=str(store.directory) if store is not None else None,
     )
-    if inc_info is not None:
-        assert base_daily is not None
-        result.delta_handle = delta_mod.LiveDeltaHandle(
-            serial=len(dates),
-            dates=list(dates),
-            base_daily=base_daily,
-            rows=inc_info["rows"],
-            rule=config.consistency_rule,
-        )
     metrics.observe("runner", result.runner_stats.elapsed_seconds)
     logger.info(
-        "runner: %d days (%d %s, %d computed) with %d jobs in %.2fs",
-        len(dates), days_from_cache,
-        "replayed" if incremental else "cached", days_computed,
+        "runner: %d days (%d cached, %d computed) with %d jobs in %.2fs",
+        len(dates), len(dates) - len(missing), len(missing),
         resolved_jobs, result.runner_stats.elapsed_seconds,
     )
     return result
-
-
-def _compute_parallel(
-    stream_factory: StreamFactory,
-    config: InferenceConfig,
-    as2org: Optional[As2OrgDataset],
-    missing: Sequence[datetime.date],
-    jobs: int,
-    metrics: MetricsRegistry,
-    store: Optional[ShardStore],
-    day_shards: int,
-    receiver: _FanInReceiver,
-) -> List[dict]:
-    """Fan the missing (sub-)day tasks out over a process pool.
-
-    With ``day_shards > 1`` every day becomes that many per-/8 tasks,
-    spread over the chunks like days are; a day's parts may come back
-    from different workers in any order and are reassembled with
-    :func:`_merge_day_payloads` as soon as the last one lands.  With
-    an enabled ``metrics`` registry, every worker chunk returns its
-    own registry alongside its results, so per-day timings and stream
-    counters survive the fan-in.
-    """
-    tasks = [
-        (date, shard, day_shards)
-        for date in missing
-        for shard in range(day_shards)
-    ]
-    chunks = _chunk(tasks, _chunk_size(len(tasks), jobs))
-    payloads: List[dict] = []
-    pending: Dict[datetime.date, List[dict]] = {}
-
-    def consume(shipped: tuple) -> None:
-        for payload in _receive_chunk(shipped, receiver):
-            if payload["shard_count"] == 1:
-                payloads.append(payload)
-                continue
-            parts = pending.setdefault(payload["date"], [])
-            parts.append(payload)
-            if len(parts) == payload["shard_count"]:
-                payloads.append(_merge_day_payloads(parts))
-                del pending[payload["date"]]
-
-    # The worker is looked up here, at submit time, so a wrapper
-    # installed on the module attribute (tracing) runs in the pool.
-    _run_pool(
-        stream_factory, config, as2org, jobs, metrics, store,
-        _worker_run_chunk, [(chunk,) for chunk in chunks], consume,
-        "delegation-inference",
-    )
-    if pending:
-        stuck = sorted(pending)[0]
-        raise ReproError(
-            "day-shard fan-in incomplete: "
-            f"{stuck.isoformat()} received "
-            f"{len(pending[stuck])} of {day_shards} parts"
-        )
-    return payloads

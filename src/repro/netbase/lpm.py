@@ -37,8 +37,8 @@ from repro.netbase.prefix import ADDRESS_BITS, IPv4Prefix
 V = TypeVar("V")
 
 #: The typecodes every packed codec in the repo depends on, with the
-#: byte widths their on-disk formats (v2 cache quads, delta-journal
-#: columns, shard files) assume.  ``array`` only guarantees *minimum*
+#: byte widths their on-disk formats (v2 result quads, shard files)
+#: assume.  ``array`` only guarantees *minimum*
 #: sizes, so codecs must check before trusting ``tobytes``/``frombytes``
 #: round-trips across platforms.
 _CODEC_ITEMSIZES = (("B", 1), ("I", 4), ("Q", 8))
@@ -48,8 +48,8 @@ def require_codec_itemsizes() -> None:
     """Assert the ``array`` itemsizes the packed codecs rely on.
 
     Called once at import by every module with an on-disk packed
-    format (:mod:`repro.delegation.runner`, :mod:`repro.delegation.
-    delta`, :mod:`repro.store.shard`): a platform where ``array('I')``
+    format (:mod:`repro.delegation.runner`, :mod:`repro.store.shard`):
+    a platform where ``array('I')``
     is not 4 bytes or ``array('Q')`` is not 8 would silently misparse
     every entry, so fail loudly instead.
     """
@@ -117,103 +117,6 @@ def nearest_strict_covers(keys: "array") -> List[int]:
         stack_ends.append(network | host_bits[key & 0x3F])
         stack_idx.append(i)
     return out
-
-
-def day_shard_bounds(
-    keys: "array", shards: int
-) -> List[Tuple[int, int]]:
-    """Cut one sorted key array into cover-safe contiguous ranges.
-
-    Returns exactly ``shards`` half-open ``(low, high)`` index ranges
-    that partition ``[0, len(keys))`` (trailing ranges may be empty).
-    A cut before index *i* is **safe** iff no earlier prefix covers
-    ``keys[i]`` — equivalently, the running maximum broadcast address
-    over ``keys[:i]`` lies below ``keys[i]``'s network.  At a safe cut
-    the :func:`nearest_strict_covers` nesting stack is provably empty,
-    so running the cover pass on each range independently and
-    concatenating the answers (with per-range indices offset by
-    ``low``) is *identical* to one pass over the whole array — the
-    invariant behind per-/8 intra-day sharding: on real routing
-    tables, where no announced prefix is shorter than a /8, every
-    top-octet transition is such a cut, so the chosen cuts land on /8
-    block boundaries.
-
-    Cuts are placed at the first safe index at or after each
-    equal-count target, one O(n) pass total.  ``keys`` must be sorted
-    ascending and duplicate-free (:func:`pack` order).
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1 (got {shards})")
-    n = len(keys)
-    bounds: List[Tuple[int, int]] = []
-    if shards > 1 and n > 0:
-        targets = [n * s // shards for s in range(1, shards)]
-        host_bits = _HOST_BITS
-        low = 0
-        max_end = -1
-        t = 0
-        for i, key in enumerate(keys):
-            if (
-                t < len(targets)
-                and i >= targets[t]
-                and i > low
-                and max_end < (key >> 6)
-            ):
-                bounds.append((low, i))
-                low = i
-                while t < len(targets) and targets[t] <= i:
-                    t += 1
-            end = (key >> 6) | host_bits[key & 0x3F]
-            if end > max_end:
-                max_end = end
-        bounds.append((low, n))
-    else:
-        bounds.append((0, n))
-    while len(bounds) < shards:
-        bounds.append((n, n))
-    return bounds
-
-
-def diff_sorted_keys(
-    old_keys: "array", new_keys: "array"
-) -> Tuple[List[int], List[int], List[Tuple[int, int]]]:
-    """Partition two sorted, duplicate-free key arrays in one pass.
-
-    Returns ``(removed, added, common)`` where ``removed`` holds
-    indices into ``old_keys`` of keys absent from ``new_keys``,
-    ``added`` holds indices into ``new_keys`` of keys absent from
-    ``old_keys``, and ``common`` pairs ``(old_index, new_index)`` for
-    keys present in both.  This is the merge-walk core behind
-    day-over-day :class:`~repro.bgp.rib.PairTable` diffing: O(n + m)
-    with no hashing, because both inputs are already in :func:`pack`
-    order.
-    """
-    removed: List[int] = []
-    added: List[int] = []
-    common: List[Tuple[int, int]] = []
-    i = j = 0
-    old_len = len(old_keys)
-    new_len = len(new_keys)
-    while i < old_len and j < new_len:
-        old_key = old_keys[i]
-        new_key = new_keys[j]
-        if old_key == new_key:
-            common.append((i, j))
-            i += 1
-            j += 1
-        elif old_key < new_key:
-            removed.append(i)
-            i += 1
-        else:
-            added.append(j)
-            j += 1
-    while i < old_len:
-        removed.append(i)
-        i += 1
-    while j < new_len:
-        added.append(j)
-        j += 1
-    return removed, added, common
 
 
 class SortedPrefixMap:

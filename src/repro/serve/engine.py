@@ -267,7 +267,6 @@ class QueryEngine:
         delegations: Optional[DelegationIndex] = None,
         transfers: Optional[TransferIndex] = None,
         market: Optional[dict] = None,
-        delta: Optional[object] = None,
         metrics: MetricsRegistry = NULL,
     ):
         self.whois = whois
@@ -275,10 +274,6 @@ class QueryEngine:
         self.delegations = delegations or DelegationIndex()
         self.transfers = transfers or TransferIndex()
         self.market = market or {}
-        #: :class:`~repro.delegation.delta.LiveDeltaHandle` when the
-        #: inference sweep ran incrementally — enables live new-day
-        #: applies via :meth:`apply_delta_entry`.
-        self.delta = delta
         self.metrics = metrics
         rdap.set_metrics(metrics)
 
@@ -292,10 +287,7 @@ class QueryEngine:
         include_inference: bool = True,
         step_days: int = 1,
         jobs: Optional[int] = None,
-        incremental: bool = False,
-        journal_dir: Optional[str] = None,
         store_dir: Optional[str] = None,
-        day_shards: int = 1,
         rate_limit_per_second: float = 50.0,
         burst: int = 100,
         max_clients: int = 4096,
@@ -304,17 +296,12 @@ class QueryEngine:
         """Load every serveable dataset from a simulated world.
 
         The expensive part is the delegation inference sweep; it honors
-        the same ``jobs``/``store_dir``/``day_shards`` knobs as the
-        batch CLI (``--no-infer`` on the CLI maps to
-        ``include_inference=False`` for an instant, delegation-less
-        start).  With ``incremental=True`` the sweep runs in
-        day-over-day delta mode and the engine keeps the resulting
-        :class:`~repro.delegation.delta.LiveDeltaHandle`, so new-day
-        journal entries can be applied to the running server
-        (:meth:`apply_delta_entry` / :meth:`apply_journal`).  With
-        ``store_dir`` the sweep reads its per-day inputs from the
-        memory-mapped shard store, so a warm server start never
-        regenerates the world's BGP view.
+        the same ``jobs``/``store_dir`` knobs as the batch CLI
+        (``--no-infer`` on the CLI maps to ``include_inference=False``
+        for an instant, delegation-less start).  With ``store_dir`` the
+        sweep reads its per-day inputs from the memory-mapped shard
+        store, so a warm server start never regenerates the world's BGP
+        view.
         """
         from repro.delegation import (
             InferenceConfig,
@@ -325,7 +312,6 @@ class QueryEngine:
         with metrics.span("serve.load.whois"):
             database = world.whois()
         delegations = None
-        delta = None
         if include_inference:
             with metrics.span("serve.load.infer"):
                 result = run_inference(
@@ -337,13 +323,9 @@ class QueryEngine:
                     step_days=step_days,
                     jobs=jobs,
                     metrics=metrics,
-                    incremental=incremental,
-                    journal_dir=journal_dir,
                     store_dir=store_dir,
-                    day_shards=day_shards,
                 )
             delegations = DelegationIndex(result.daily)
-            delta = result.delta_handle
         with metrics.span("serve.load.transfers"):
             transfers = TransferIndex(world.transfer_ledger())
         with metrics.span("serve.load.market"):
@@ -363,101 +345,8 @@ class QueryEngine:
             delegations=delegations,
             transfers=transfers,
             market=market,
-            delta=delta,
             metrics=metrics,
         )
-
-    # -- live delta apply -----------------------------------------------
-
-    @property
-    def delta_serial(self) -> Optional[int]:
-        """The journal serial the engine is current to (``None``
-        when the sweep did not run incrementally)."""
-        return self.delta.serial if self.delta is not None else None
-
-    def apply_delta_entry(self, entry: dict) -> None:
-        """Advance the served delegation set by one journal entry.
-
-        Folds the entry's row delta into the live handle, re-runs the
-        consistency rule (extension (v)) over the extended window,
-        builds a fresh :class:`DelegationIndex`, and *then* swaps it
-        in — all state changes commit together at the end, so a query
-        dispatched at any point sees either the old day or the new
-        day, never a mixture.  The method is synchronous on purpose:
-        under asyncio nothing else can run mid-apply.
-
-        Raises :class:`~repro.errors.ReproError` when the engine holds
-        no delta handle, the serial does not continue the applied
-        sequence, or the entry is not a ``delta`` record.
-        """
-        from repro.delegation.consistency import fill_gaps
-        from repro.delegation.delta import fold_entry_rows
-        from repro.errors import ReproError
-        from repro.netbase.lpm import unpack
-
-        live = self.delta
-        if live is None:
-            raise ReproError(
-                "engine holds no delta handle "
-                "(serve with incremental inference to enable applies)"
-            )
-        if entry.get("kind") != "delta":
-            raise ReproError(
-                f"cannot live-apply a {entry.get('kind')!r} entry"
-            )
-        serial = entry.get("serial")
-        if serial != live.serial + 1:
-            raise ReproError(
-                f"delta serial gap: engine at {live.serial}, "
-                f"entry carries {serial}"
-            )
-        with self.metrics.span("serve.delta.apply"):
-            date = datetime.date.fromisoformat(str(entry["date"]))
-            rows = fold_entry_rows(live.rows, entry)
-            keys = []
-            for key, delegator, delegatee in rows:
-                network, length = unpack(key)
-                keys.append(
-                    (IPv4Prefix(network, length), delegator, delegatee)
-                )
-            base = live.base_daily.copy()
-            base.record(date, keys)
-            dates = list(live.dates) + [date]
-            daily = base
-            if live.rule is not None:
-                daily = fill_gaps(base, live.rule, dates)
-            index = DelegationIndex(daily)
-        # Commit: plain attribute writes, atomic between awaits.
-        self.delegations = index
-        live.base_daily = base
-        live.rows = rows
-        live.dates = dates
-        live.serial = serial
-        self.metrics.inc("serve.delta.applied")
-
-    def apply_journal(self, path) -> int:
-        """Apply every journal entry newer than the engine's serial.
-
-        The catch-up path: point it at the journal an incremental
-        sweep extends and the running server advances to its tip.
-        Returns the number of entries applied.
-        """
-        from repro.delegation.delta import DeltaJournal
-        from repro.errors import ReproError
-
-        live = self.delta
-        if live is None:
-            raise ReproError(
-                "engine holds no delta handle "
-                "(serve with incremental inference to enable applies)"
-            )
-        applied = 0
-        for entry in DeltaJournal(path).read():
-            if entry["serial"] <= live.serial:
-                continue
-            self.apply_delta_entry(entry)
-            applied += 1
-        return applied
 
     # -- rate limiting --------------------------------------------------
 
@@ -531,15 +420,12 @@ class QueryEngine:
 
     def loaded_summary(self) -> dict:
         """Dataset sizes for ``/health`` and the startup banner."""
-        summary = {
+        return {
             "inetnums": len(self.rdap.database),
             "delegations": len(self.delegations),
             "transfers": len(self.transfers),
             "marketStats": len(self.market),
         }
-        if self.delta is not None:
-            summary["deltaSerial"] = self.delta.serial
-        return summary
 
     def __repr__(self) -> str:
         loaded = self.loaded_summary()

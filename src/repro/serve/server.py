@@ -95,9 +95,6 @@ class ReproServeServer:
         self._connections: dict = {}   # task -> writer
         self._busy: set = set()        # tasks mid-request
         self._draining = False
-        #: Serializes live delta applies: one engine swap at a time,
-        #: created lazily on the running loop.
-        self._apply_lock: Optional[asyncio.Lock] = None
         self._stopped: Optional[asyncio.Event] = None
         self._conn_seq = 0
         self._request_seq = 0
@@ -108,7 +105,6 @@ class ReproServeServer:
         self.connections_total = 0
         self.whois_queries = 0
         self.http_requests = 0
-        self.delta_applies = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -630,41 +626,6 @@ class ReproServeServer:
         accept = request.header("accept").lower()
         return "text/plain" in accept or "openmetrics" in accept
 
-    # -- live delta apply -----------------------------------------------
-
-    async def apply_delta_entries(self, entries) -> int:
-        """Apply new-day journal entries to the running engine.
-
-        Serialized under the apply lock so concurrent callers cannot
-        interleave serials.  Each entry is applied synchronously —
-        the engine builds the new index and swaps it in one attribute
-        write, so queries in flight on this loop observe either the
-        old delegation set or the new one, never a torn mixture.
-        Returns the number of entries applied.
-        """
-        if self._apply_lock is None:
-            self._apply_lock = asyncio.Lock()
-        applied = 0
-        async with self._apply_lock:
-            for entry in entries:
-                self._engine.apply_delta_entry(entry)
-                self.delta_applies += 1
-                applied += 1
-                # Yield between entries so queries interleave with a
-                # long catch-up instead of stalling behind it.
-                await asyncio.sleep(0)
-        return applied
-
-    async def apply_journal(self, path) -> int:
-        """Catch the engine up to a journal file (see
-        :meth:`QueryEngine.apply_journal`), under the apply lock."""
-        if self._apply_lock is None:
-            self._apply_lock = asyncio.Lock()
-        async with self._apply_lock:
-            applied = self._engine.apply_journal(path)
-            self.delta_applies += applied
-            return applied
-
     # -- introspection --------------------------------------------------
 
     def health(self) -> dict:
@@ -673,7 +634,7 @@ class ReproServeServer:
             self._clock() - self._started_at
             if self._started_at is not None else 0.0
         )
-        document = {
+        return {
             "status": "draining" if self._draining else "ok",
             "uptimeSeconds": round(uptime, 3),
             "loaded": self._engine.loaded_summary(),
@@ -695,16 +656,6 @@ class ReproServeServer:
                 "5m": self._window.snapshot(self._clock(), 300),
             },
         }
-        if self._engine.delta is not None:
-            document["delta"] = {
-                "serial": self._engine.delta.serial,
-                "snapshotDate": (
-                    self._engine.delta.dates[-1].isoformat()
-                    if self._engine.delta.dates else None
-                ),
-                "applied": self.delta_applies,
-            }
-        return document
 
     def metrics_snapshot(self) -> dict:
         """The ``/metrics`` document: the obs registry, as JSON."""

@@ -2,8 +2,7 @@
 
 Per-day memory-mapped shard files whose on-disk layout *is* the
 columnar :class:`~repro.bgp.rib.PairTable` layout, so loads are
-zero-copy: the runner, the incremental delta path and the serving
-layer all read internet-scale days without materializing them in RAM
+zero-copy: the runner and the serving layer both read internet-scale days without materializing them in RAM
 (see :mod:`repro.store.shard` for the format and invariants).
 """
 

@@ -28,8 +28,7 @@ Layout (all little-endian)::
 
 Shards are *pre-filter inputs* — the day's observed pairs before any
 inference step runs — so the content address deliberately excludes the
-inference config: every config sweep and the incremental delta path
-share one store.  That is also what separates input shards from the
+inference config: every config sweep shares one store.  That is also what separates input shards from the
 store's result shards (which key on the config and hold post-filter
 quads): input shards survive ablation sweeps untouched, result shards
 do not.
@@ -80,10 +79,8 @@ def encode_shard_bytes(
 ) -> bytes:
     """One day's table in the RPSHARD3 on-disk/on-segment layout.
 
-    The same bytes :meth:`ShardStore.write` persists — also what the
-    runner's shared-memory seed hand-back puts in a segment, so the
-    parent adopts it with :func:`decode_shard_buffer` /
-    :meth:`PairTable.from_buffer` exactly as it would a mapped file.
+    The same bytes :meth:`ShardStore.write` persists;
+    :func:`decode_shard_buffer` adopts them back.
     """
     header = _SHARD_HEADER.pack(
         _SHARD_MAGIC, SHARD_SCHEMA,
@@ -101,8 +98,7 @@ def decode_shard_buffer(
     """Adopt an RPSHARD3 buffer; ``(table, total_monitors)`` or ``None``.
 
     ``buffer`` is any byte buffer holding what :func:`encode_shard_bytes`
-    produced — a read-only mmap over a shard file or a shared-memory
-    segment's view.  The returned table is zero-copy (buffer-backed)
+    produced — typically a read-only mmap over a shard file.  The returned table is zero-copy (buffer-backed)
     on little-endian hosts; anything torn, foreign, or (when
     ``expected_date`` is given) misdated decodes to ``None``.
     """

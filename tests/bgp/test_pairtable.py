@@ -260,45 +260,6 @@ class TestFromBuffer:
             segment.unlink()
 
 
-class TestSliceConcat:
-    """slice()/concat() are exact inverses at cover-safe cut points."""
-
-    def test_slice_concat_round_trip(self):
-        table = _sample_table()
-        parts = [table.slice(0, 2), table.slice(2, 3), table.slice(3, 4)]
-        rebuilt = PairTable.concat(parts)
-        assert _table_rows(rebuilt) == _table_rows(table)
-        assert not rebuilt.is_buffer_backed
-
-    def test_slice_preserves_backing_kind(self):
-        table = _sample_table()
-        assert not table.slice(1, 3).is_buffer_backed
-        mapped = PairTable.from_buffer(table.to_bytes(), len(table))
-        sub = mapped.slice(1, 3)
-        assert sub.is_buffer_backed
-        assert list(sub.keys) == list(table.keys[1:3])
-
-    def test_concat_skips_empty_parts(self):
-        table = _sample_table()
-        rebuilt = PairTable.concat([
-            table.slice(0, 0), table.slice(0, 4), table.slice(4, 4),
-        ])
-        assert _table_rows(rebuilt) == _table_rows(table)
-
-    def test_concat_mixed_backing(self):
-        table = _sample_table()
-        mapped = PairTable.from_buffer(table.to_bytes(), len(table))
-        rebuilt = PairTable.concat([mapped.slice(0, 2), table.slice(2, 4)])
-        assert _table_rows(rebuilt) == _table_rows(table)
-
-    def test_concat_rejects_overlapping_ranges(self):
-        table = _sample_table()
-        with pytest.raises(ValueError, match="ascending"):
-            PairTable.concat([table.slice(0, 3), table.slice(2, 4)])
-        with pytest.raises(ValueError, match="ascending"):
-            PairTable.concat([table.slice(2, 4), table.slice(0, 2)])
-
-
 class TestMaterializeCounter:
     def test_counts_only_buffer_backed_copies(self):
         table = _sample_table()

@@ -1,11 +1,11 @@
-"""Tests for the zero-copy result fan-in and per-/8 day sharding.
+"""Tests for the zero-copy result fan-in.
 
-The contract: the shared-memory transport and ``day_shards > 1`` are
-pure transport/scheduling changes — output bytes and attrition
-counters are identical to the pickled fallback (what a worker returns
-when it cannot get a segment) and to whole-day runs, with or without
-the store — and no exit path (completion, worker crash, interrupt)
-leaks a shared-memory segment or trips the resource tracker.
+The contract: the shared-memory transport is a pure transport change —
+output bytes and attrition counters are identical to the pickled
+fallback (what a worker returns when it cannot get a segment) and to
+an in-process run — and no exit path (completion, worker crash,
+interrupt) leaks a shared-memory segment or trips the resource
+tracker.
 """
 
 import datetime
@@ -78,8 +78,8 @@ def _segments():
 def no_segments(monkeypatch):
     """Workers cannot get a segment, as on a host without /dev/shm.
 
-    Patched before the pool forks, so every worker inherits it: result
-    chunks and delta seeds both take the pickled fallback.
+    Patched before the pool forks, so every worker inherits it: every
+    result chunk takes the pickled fallback.
     """
     monkeypatch.setattr(
         runner, "_create_worker_segment", lambda size, prefix: None
@@ -117,63 +117,6 @@ class TestByteIdentity:
         assert metrics.gauge("fanin.pickled_kb") > 0
         assert metrics.gauge("fanin.shm_kb") == 0
 
-    @pytest.mark.parametrize("day_shards", [2, 3, 7])
-    def test_day_shards_match_whole_days(
-        self, factory, as2org, pickle_baseline, tmp_path, day_shards
-    ):
-        result = _run(
-            factory, as2org, jobs=2, day_shards=day_shards,
-        )
-        assert _daily_bytes(result, tmp_path / "out.jsonl") == \
-            pickle_baseline[0]
-        assert _counters(result) == pickle_baseline[1]
-
-    def test_day_shards_compose_with_store_and_cache(
-        self, factory, as2org, pickle_baseline, tmp_path
-    ):
-        kwargs = dict(jobs=2, day_shards=3, store_dir=tmp_path / "store")
-        days = (END - START).days
-        cold_metrics = MetricsRegistry()
-        cold = _run(factory, as2org, metrics=cold_metrics, **kwargs)
-        assert _daily_bytes(cold, tmp_path / "cold.jsonl") == \
-            pickle_baseline[0]
-        # Sharded days still land whole in the store: one input shard
-        # and one merged result shard per day.
-        assert cold_metrics.counter("store.writes") == days
-        assert cold_metrics.counter("store.result_writes") == days
-        metrics = MetricsRegistry()
-        warm = _run(factory, as2org, metrics=metrics, **kwargs)
-        assert _daily_bytes(warm, tmp_path / "warm.jsonl") == \
-            pickle_baseline[0]
-        assert _counters(warm) == pickle_baseline[1]
-        # Warm days come off mapped result shards, not the kernel.
-        assert metrics.counters().get("store.result_hits") == days
-
-    def test_incremental_shm_seed_matches(
-        self, factory, as2org, pickle_baseline, tmp_path
-    ):
-        metrics = MetricsRegistry()
-        result = _run(
-            factory, as2org, jobs=2, incremental=True, metrics=metrics,
-        )
-        assert _daily_bytes(result, tmp_path / "inc.jsonl") == \
-            pickle_baseline[0]
-        # The seed crossed via a segment, so nothing materialized.
-        assert metrics.counters().get("pairtable.materialized", 0) == 0
-        assert metrics.gauge("fanin.shm_kb") > 0
-
-    def test_incremental_pickle_seed_materializes(
-        self, factory, as2org, pickle_baseline, tmp_path, no_segments
-    ):
-        metrics = MetricsRegistry()
-        result = _run(
-            factory, as2org, jobs=2, incremental=True, metrics=metrics,
-        )
-        assert _daily_bytes(result, tmp_path / "inc.jsonl") == \
-            pickle_baseline[0]
-        # No segment for the seed: the table itself crossed pickled.
-        assert metrics.gauge("fanin.shm_kb") == 0
-
 
 class TestTransportAccounting:
     def test_shm_run_reports_segment_bytes(self, factory, as2org):
@@ -200,14 +143,6 @@ class TestValidation:
         with pytest.raises(TypeError):
             _run(factory, as2org, fanin="pickle")
 
-    def test_day_shards_must_be_positive(self, factory, as2org):
-        with pytest.raises(ReproError, match="day_shards"):
-            _run(factory, as2org, day_shards=0)
-
-    def test_day_shards_exclude_incremental(self, factory, as2org):
-        with pytest.raises(ReproError, match="incremental"):
-            _run(factory, as2org, day_shards=2, incremental=True)
-
 
 class _DyingStreamFactory:
     """Kills the worker process outright (breaks the pool)."""
@@ -226,7 +161,7 @@ class _InterruptingStreamFactory:
 class TestSegmentLifecycle:
     def test_no_segments_after_completion(self, factory, as2org):
         before = _segments()
-        _run(factory, as2org, jobs=2, day_shards=2)
+        _run(factory, as2org, jobs=2)
         assert _segments() == before
 
     def test_no_segments_after_worker_crash(self, as2org):
@@ -267,7 +202,7 @@ class TestSegmentLifecycle:
                 WorldStreamFactory(scenario), start, end,
                 InferenceConfig.extended(),
                 as2org=World(scenario).as2org(),
-                jobs=2, day_shards=2,
+                jobs=2,
             )
         """)
         env = dict(os.environ)

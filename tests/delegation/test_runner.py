@@ -166,6 +166,32 @@ class TestCache:
         assert changed.runner_stats.days_from_cache == 0
         assert changed.runner_stats.days_computed == 15
 
+    def test_cache_key_tells_every_config_field_apart(self):
+        # Result keys must tell configs apart: every field that steps
+        # (i)-(iv) read changes the key, and only rule (v), which runs
+        # after the fan-in, leaves it alone.
+        from repro.delegation.runner import _cache_key
+
+        def key(config):
+            return _cache_key(config, START, "input-fp", "as2org-fp")
+
+        base = InferenceConfig.extended()
+        for field in dataclasses.fields(InferenceConfig):
+            value = getattr(base, field.name)
+            if field.name == "consistency_rule":
+                changed = ConsistencyRule(5, 1)
+            elif isinstance(value, bool):
+                changed = not value
+            elif isinstance(value, float):
+                changed = value / 2
+            else:
+                pytest.fail(f"no variation for config field {field.name}")
+            config = dataclasses.replace(base, **{field.name: changed})
+            if field.name == "consistency_rule":
+                assert key(config) == key(base)
+            else:
+                assert key(config) != key(base), field.name
+
     def test_consistency_rule_change_still_hits(self, as2org, tmp_path):
         # Step (v) runs after the fan-in: sweeping (M, N) must reuse
         # every per-day result shard.
@@ -279,6 +305,15 @@ class TestFailureModes:
             run_inference(
                 WorldStreamFactory(SCENARIO), START, END,
                 InferenceConfig.extended(), as2org=as2org, jobs=0,
+            )
+
+    @pytest.mark.parametrize("step_days", [0, -7])
+    def test_bad_step_days_rejected(self, as2org, step_days):
+        with pytest.raises(ReproError, match="step_days"):
+            run_inference(
+                WorldStreamFactory(SCENARIO), START, END,
+                InferenceConfig.extended(), as2org=as2org,
+                step_days=step_days,
             )
 
     def test_worker_exception_surfaces_as_repro_error(self):

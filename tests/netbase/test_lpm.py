@@ -1,6 +1,5 @@
 """Unit tests for the sorted-array LPM kernel (repro.netbase.lpm)."""
 
-import random
 from array import array
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.netbase.lpm import (
     SortedPrefixMap,
     broadcast_of,
-    day_shard_bounds,
     nearest_strict_covers,
     pack,
     unpack,
@@ -166,84 +164,3 @@ class TestNearestStrictCovers:
 
     def test_empty(self):
         assert nearest_strict_covers(array("Q")) == []
-
-
-class TestDayShardBounds:
-    """The per-/8 cut invariant behind intra-day sharding."""
-
-    def _random_keys(self, rng, count):
-        seen = set()
-        while len(seen) < count:
-            length = rng.randint(8, 28)
-            network = rng.randrange(1 << 32) & ~(
-                (1 << (32 - length)) - 1
-            )
-            seen.add(pack(network, length))
-        return array("Q", sorted(seen))
-
-    def test_partitions_the_index_space(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            keys = self._random_keys(rng, rng.randint(1, 80))
-            for shards in (1, 2, 3, 5, 16):
-                bounds = day_shard_bounds(keys, shards)
-                assert len(bounds) == shards
-                cursor = 0
-                for low, high in bounds:
-                    assert low == cursor
-                    assert high >= low
-                    cursor = high
-                assert cursor == len(keys)
-
-    def test_single_shard_and_empty(self):
-        keys = self._random_keys(random.Random(1), 10)
-        assert day_shard_bounds(keys, 1) == [(0, len(keys))]
-        assert day_shard_bounds(array("Q"), 3) == [
-            (0, 0), (0, 0), (0, 0)
-        ]
-        with pytest.raises(ValueError):
-            day_shard_bounds(keys, 0)
-
-    def test_cuts_are_cover_safe(self):
-        # At every cut, no earlier prefix may cover the first key of
-        # the next range — the running-max broadcast lies below it.
-        rng = random.Random(13)
-        for _ in range(20):
-            keys = self._random_keys(rng, rng.randint(2, 120))
-            for low, high in day_shard_bounds(keys, 4)[1:]:
-                if low == high == len(keys):
-                    continue
-                network = keys[low] >> 6
-                assert all(
-                    broadcast_of(keys[i]) < network for i in range(low)
-                )
-
-    def test_per_range_cover_pass_equals_full_pass(self):
-        # The whole point: running nearest_strict_covers per range and
-        # concatenating (indices offset by the range start) must be
-        # identical to one pass over the full array.
-        rng = random.Random(20)
-        for _ in range(30):
-            keys = self._random_keys(rng, rng.randint(1, 150))
-            full = list(nearest_strict_covers(keys))
-            for shards in (2, 3, 7):
-                stitched = []
-                for low, high in day_shard_bounds(keys, shards):
-                    part = nearest_strict_covers(keys[low:high])
-                    stitched.extend(
-                        -1 if cover == -1 else cover + low
-                        for cover in part
-                    )
-                assert stitched == full
-
-    def test_cuts_land_on_top_octet_boundaries(self):
-        # No announced prefix shorter than /8 -> every top-octet
-        # transition is safe, so cuts sit exactly on /8 edges.
-        keys = array("Q", sorted(
-            pack((octet << 24) | (sub << 16), 16)
-            for octet in (10, 11, 12, 13)
-            for sub in range(8)
-        ))
-        for low, high in day_shard_bounds(keys, 4):
-            if low < len(keys):
-                assert (keys[low] >> 6) % (1 << 24) == 0

@@ -3,11 +3,11 @@
 The shard store is a pure data-plane change — a sweep fed from
 memory-mapped shards must be byte-identical to one fed from live
 announcement records, sequential and through the mmap fan-out
-(workers opening the shard by path), and through the incremental
-delta path.  A warm store must serve every day as a hit without
-rebuilding the stream.
+(workers opening the shard by path).  A warm store must serve every
+day as a hit without rebuilding the stream.
 """
 
+import dataclasses
 import datetime
 import shutil
 
@@ -139,9 +139,8 @@ class TestStoreBackedEquivalence:
         self, factory, as2org, tmp_path
     ):
         # Warm with the extended full sweep, then read every day back
-        # under the baseline config and through the incremental delta
-        # path: the input shards' content address excludes both, while
-        # the result shards' includes the config.
+        # under two other configs: the input shards' content address
+        # excludes the config, while the result shards' includes it.
         _run(factory, as2org, jobs=1, store_dir=tmp_path / "store")
         metrics = MetricsRegistry()
         run_inference(
@@ -151,45 +150,36 @@ class TestStoreBackedEquivalence:
         )
         assert metrics.counter("store.hits") == DAYS
         assert metrics.counter("store.result_misses") == DAYS
-        delta = MetricsRegistry()
-        _run(
-            factory, as2org, jobs=1, incremental=True,
-            store_dir=tmp_path / "store", metrics=delta,
+        strict = MetricsRegistry()
+        run_inference(
+            factory, START, END,
+            dataclasses.replace(
+                InferenceConfig.extended(), visibility_threshold=0.9
+            ),
+            as2org=as2org, jobs=1,
+            store_dir=tmp_path / "store", metrics=strict,
         )
-        assert delta.counter("store.hits") == DAYS
-
-
-class TestIncrementalEquivalence:
-    @pytest.mark.parametrize("jobs", [1, 2], ids=["seq", "pool"])
-    def test_incremental_store_backed_matches(
-        self, factory, as2org, baseline, tmp_path, jobs
-    ):
-        cold = _run(
-            factory, as2org, jobs=jobs, incremental=True,
-            store_dir=tmp_path / "store",
-        )
-        assert _result_bytes(cold, tmp_path / "cold.jsonl") == \
-            baseline[0]
-        warm = _run(
-            factory, as2org, jobs=jobs, incremental=True,
-            store_dir=tmp_path / "store",
-        )
-        assert _result_bytes(warm, tmp_path / "warm.jsonl") == \
-            baseline[0]
+        assert strict.counter("store.hits") == DAYS
 
     def test_store_composes_with_the_result_cache(
         self, factory, as2org, baseline, tmp_path
     ):
-        # An incremental sweep fills the input shards only; the full
-        # sweep after it maps them and writes the result shards, and
-        # the one after that is served entirely by the result shards.
+        # A baseline sweep leaves the input shards plus result shards
+        # that the extended config cannot use; the extended sweep
+        # after it maps the input shards and writes its own result
+        # shards, and the one after that is served entirely by them.
         kwargs = dict(jobs=1, store_dir=tmp_path / "store")
-        _run(factory, as2org, incremental=True, **kwargs)
-        assert not (tmp_path / "store" / "results").exists()
+        run_inference(
+            factory, START, END, InferenceConfig.baseline(), **kwargs
+        )
+        results = tmp_path / "store" / "results"
+        assert len(list(results.rglob("*.rpd"))) == DAYS
         full = MetricsRegistry()
         _run(factory, as2org, metrics=full, **kwargs)
         assert full.counter("store.hits") == DAYS
+        assert full.counter("store.result_misses") == DAYS
         assert full.counter("store.result_writes") == DAYS
+        assert len(list(results.rglob("*.rpd"))) == 2 * DAYS
         metrics = MetricsRegistry()
         result = _run(factory, as2org, metrics=metrics, **kwargs)
         assert _result_bytes(result, tmp_path / "out.jsonl") == \

@@ -26,19 +26,16 @@ class TestParser:
     def test_runner_flags(self):
         args = build_parser().parse_args([
             "infer", "--jobs", "4", "--store", "/tmp/s",
-            "--incremental", "--journal", "/tmp/j", "--day-shards", "2",
         ])
-        assert (args.jobs, args.store, args.incremental) == \
-            (4, "/tmp/s", True)
-        assert (args.journal, args.day_shards) == ("/tmp/j", 2)
+        assert (args.jobs, args.store) == (4, "/tmp/s")
         args = build_parser().parse_args(["figures", "out"])
         assert args.jobs is None
         assert args.store is None
-        assert args.day_shards == 1
-        # The store is the one persistent tier; the old cache flag is
-        # gone rather than aliased.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["infer", "--cache-dir", "/tmp/c"])
+        # The store is the one persistent tier; the old cache and
+        # journal flags are gone rather than aliased.
+        for argv in (["--cache-dir", "/tmp/c"], ["--journal", "/tmp/j"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["infer", *argv])
 
 
 class TestCommands:
@@ -149,6 +146,12 @@ class TestErrorPaths:
         self._assert_clean_failure(
             ["infer", "--jobs", "0"], capsys, "--jobs"
         )
+
+    def test_step_days_zero(self, capsys):
+        for command in ("infer", "serve"):
+            self._assert_clean_failure(
+                [command, "--step-days", "0"], capsys, "--step-days"
+            )
 
     def test_jobs_negative(self, capsys):
         self._assert_clean_failure(
