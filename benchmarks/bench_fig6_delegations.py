@@ -7,18 +7,16 @@ the baseline's day-to-day variance; the extended algorithm yields a
 in delegated addresses; the /20 share falls ~7 %→~3 % while the /24
 share rises ~66 %→~72 %.
 
-The run also exercises the columnar kernel against the trie reference
-kernel kept in ``tests/delegation/reference_kernel.py`` (byte-identical
-output, >=3x sequential speedup) and the parallel, store-backed runner
-end to end: sequential vs. fanned-out wall-clock, byte-identical
-output, a warm re-run served from the store's result shards that must
-clearly beat the cold one, and an instrumented warm re-run whose
-absolute overhead must stay negligible next to the cold compute cost.
+The extended series comes from the parallel runner, which must
+reproduce the sequential pipeline byte for byte.  The kernel, store
+and observability differentials live in the tests
+(``tests/delegation/test_kernel_differential.py``,
+``tests/store/test_store_differential.py``, ``TestObservabilityIsInert``);
+wall-clocks live in e2ebench and the run history.
 """
 
 import os
 import statistics
-import time
 
 from repro.analysis.report import render_comparison
 from repro.delegation import (
@@ -28,8 +26,6 @@ from repro.delegation import (
     run_inference,
     write_daily_delegations,
 )
-from repro.obs import MetricsRegistry, TracingRegistry, load_trace
-from tests.delegation.reference_kernel import ReferenceInference
 
 
 def _series_stats(result):
@@ -49,139 +45,33 @@ def _daily_bytes(result, path):
     return path.read_bytes()
 
 
-def test_fig6_delegations(
-    benchmark, world, record_result, record_bench_json, tmp_path
-):
+def test_fig6_delegations(benchmark, world, record_result, tmp_path):
     config = world.config
     as2org = world.as2org()
     factory = WorldStreamFactory(config)
-    store_dir = tmp_path / "store"
     jobs = min(4, os.cpu_count() or 1)
-    timings = {}
 
     def run_all():
-        # The trie reference kernel is the "before" of the columnar
-        # fast path — timed first, on a cold interpreter.
-        t0 = time.perf_counter()
-        reference = ReferenceInference(
-            InferenceConfig.extended(), as2org
-        ).infer_range(world.stream(), config.bgp_start, config.bgp_end)
-        timings["sequential_object"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
         sequential = DelegationInference(
             InferenceConfig.extended(), as2org
         ).infer_range(world.stream(), config.bgp_start, config.bgp_end)
-        timings["sequential"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
         ext_result = run_inference(
             factory, config.bgp_start, config.bgp_end,
-            InferenceConfig.extended(), as2org=as2org,
-            jobs=jobs, store_dir=store_dir,
+            InferenceConfig.extended(), as2org=as2org, jobs=jobs,
         )
-        timings["parallel_cold"] = time.perf_counter() - t0
-
-        def warm_run(metrics_registry=None):
-            kwargs = {}
-            if metrics_registry is not None:
-                kwargs["metrics"] = metrics_registry
-            t0 = time.perf_counter()
-            result = run_inference(
-                factory, config.bgp_start, config.bgp_end,
-                InferenceConfig.extended(), as2org=as2org,
-                jobs=jobs, store_dir=store_dir, **kwargs,
-            )
-            return result, time.perf_counter() - t0
-
-        warm, timings["warm_cache"] = warm_run()
-        # Instrumentation overhead on the warm-store path, best of 3
-        # each so a single scheduler hiccup cannot decide the verdict.
-        plain_times, metered_times = [], []
-        for _ in range(3):
-            _result, elapsed = warm_run()
-            plain_times.append(elapsed)
-            registry = MetricsRegistry()
-            instrumented, elapsed = warm_run(registry)
-            metered_times.append(elapsed)
-        timings["warm_plain"] = min(plain_times)
-        timings["warm_metered"] = min(metered_times)
-        assert registry.counter("runner.cache.hits") == \
-            registry.counter("runner.days_total")
-
-        # Full tracing on the warm path: every span lands on the
-        # timeline and the workers' lanes fan back into the parent.
-        tracing = TracingRegistry(lane="main")
-        traced, timings["warm_traced"] = warm_run(tracing)
-        timings["trace_events"] = len(tracing.trace)
-        tracing.trace.write(tmp_path / "warm.trace.json")
-
         base_result = run_inference(
             factory, config.bgp_start, config.bgp_end,
-            InferenceConfig.baseline(), jobs=jobs, store_dir=store_dir,
+            InferenceConfig.baseline(), jobs=jobs,
         )
-        return (reference, sequential, ext_result, warm, instrumented,
-                traced, base_result)
+        return sequential, ext_result, base_result
 
-    (reference, sequential, ext_result, warm, instrumented, traced,
-     base_result) = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    # The columnar kernel is a pure perf change: byte-identical to the
-    # trie reference, with every attrition counter in agreement ...
-    seq_bytes = _daily_bytes(sequential, tmp_path / "seq.jsonl")
-    assert _daily_bytes(reference, tmp_path / "ref.jsonl") == seq_bytes
-    assert (
-        sequential.pairs_seen,
-        sequential.pairs_dropped_visibility,
-        sequential.pairs_dropped_origin,
-        sequential.delegations_dropped_same_org,
-        sequential.sanitize_stats.bogon_prefix,
-    ) == (
-        reference.pairs_seen,
-        reference.pairs_dropped_visibility,
-        reference.pairs_dropped_origin,
-        reference.delegations_dropped_same_org,
-        reference.sanitize_stats.bogon_prefix,
+    sequential, ext_result, base_result = benchmark.pedantic(
+        run_all, rounds=1, iterations=1
     )
-    # ... and at least 3x faster on the cold sequential path.
-    kernel_speedup = timings["sequential_object"] / timings["sequential"]
-    assert kernel_speedup >= 3.0, \
-        f"columnar kernel speedup only {kernel_speedup:.1f}x"
 
     # The runner must reproduce the sequential pipeline byte for byte.
-    assert _daily_bytes(ext_result, tmp_path / "par.jsonl") == seq_bytes
-    assert _daily_bytes(warm, tmp_path / "warm.jsonl") == seq_bytes
-    # Instrumented runs produce the identical result ...
-    assert _daily_bytes(instrumented, tmp_path / "obs.jsonl") == seq_bytes
-    # ... at negligible absolute overhead.  (Measured against the
-    # cold compute cost: mapped result shards shrank the warm path so
-    # far that the registry's fixed per-day cost — unchanged in
-    # seconds — is no longer a meaningful *fraction* of it.)
-    overhead = timings["warm_metered"] - timings["warm_plain"]
-    assert overhead < 0.05 * timings["parallel_cold"], \
-        f"instrumentation overhead {overhead:.3f}s on a " \
-        f"{timings['parallel_cold']:.2f}s cold run"
-    # Tracing, too, is inert — and the Chrome export round-trips.
-    assert _daily_bytes(traced, tmp_path / "traced.jsonl") == seq_bytes
-    assert timings["trace_events"] > 0
-    exported = load_trace(tmp_path / "warm.trace.json")
-    assert len([
-        e for e in exported["traceEvents"] if e.get("ph") == "X"
-    ]) == timings["trace_events"]
-
-    # The second run is a pure result-shard read ...
-    assert warm.runner_stats.days_computed == 0
-    assert warm.runner_stats.cache_hit_rate == 1.0
-    # ... and clearly faster than computing from scratch.  (The old
-    # 10x floor predates the columnar kernel — cold compute shrank
-    # ~4x, so the warm path's headroom over it is structurally
-    # smaller.)
-    assert timings["warm_cache"] * 2 <= timings["parallel_cold"]
-    if (os.cpu_count() or 1) >= 4:
-        # With real cores available the fan-out must at least halve the
-        # wall-clock (skipped on smaller machines where forking four
-        # workers onto one core can only add overhead).
-        assert timings["parallel_cold"] * 2 <= timings["sequential"]
+    assert _daily_bytes(ext_result, tmp_path / "par.jsonl") == \
+        _daily_bytes(sequential, tmp_path / "seq.jsonl")
 
     ext_counts, ext_rough = _series_stats(ext_result)
     base_counts, base_rough = _series_stats(base_result)
@@ -224,40 +114,8 @@ def test_fig6_delegations(
                  f"{dist_first.get(24, 0):.1%} -> {dist_last.get(24, 0):.1%}"],
                 ["/20 share", "7% -> 3%",
                  f"{dist_first.get(20, 0):.1%} -> {dist_last.get(20, 0):.1%}"],
-                ["sequential, trie reference kernel", "(before)",
-                 f"{timings['sequential_object']:.2f}s"],
-                ["sequential, columnar kernel", ">=3x faster",
-                 f"{timings['sequential']:.2f}s "
-                 f"({kernel_speedup:.1f}x)"],
-                [f"runner cold, jobs={jobs}", "(after)",
-                 f"{timings['parallel_cold']:.2f}s"],
-                ["runner warm store", ">=2x faster than cold",
-                 f"{timings['warm_cache']:.2f}s "
-                 f"({timings['parallel_cold'] / timings['warm_cache']:.0f}x)"],
-                ["instrumentation overhead (warm)", "<5% of cold",
-                 f"{(timings['warm_metered'] - timings['warm_plain']):.3f}s "
-                 f"({timings['warm_plain']:.3f}s -> "
-                 f"{timings['warm_metered']:.3f}s)"],
-                ["traced warm run", "byte-identical output",
-                 f"{timings['warm_traced']:.3f}s, "
-                 f"{timings['trace_events']} trace events"],
+                [f"runner, jobs={jobs}", "(same pipeline)",
+                 "byte-identical to sequential"],
             ],
         ),
     )
-    record_bench_json("fig6", {
-        "benchmark": "fig6_delegations",
-        "jobs": jobs,
-        "kernel_differential": "byte-identical",
-        "timings_seconds": {
-            key: round(value, 4)
-            for key, value in timings.items()
-            if key != "trace_events"
-        },
-        "speedups": {
-            "columnar_vs_object_sequential":
-                round(kernel_speedup, 2),
-            "warm_cache_vs_cold": round(
-                timings["parallel_cold"] / timings["warm_cache"], 2
-            ),
-        },
-    })

@@ -1,32 +1,39 @@
-"""Out-of-core smoke benchmark: the shard store at internet scale.
+"""Out-of-core smoke benchmark: the shard store and fan-in at internet scale.
 
 Runs a multi-year sweep (the internet preset's full 2018–2020 window,
-subsampled with ``step_days`` to bound wall-clock) in RAM, against a
-cold shard store, against the warm store, and against the warm store
-with its result shards removed — with per-stage memory profiling on —
+subsampled with ``step_days`` to bound wall-clock) in RAM through both
+result transports — the shared-memory fan-in and the pickled fallback
+a worker takes when it cannot get a segment (forced here by patching
+``runner._create_worker_segment`` before the pool forks) — then
+against a cold shard store, the warm store, and the warm store with
+its result shards removed, all with per-stage memory profiling on,
 and asserts
 
 - every sweep produces byte-identical daily delegations,
+- each transport carried every result (``fanin.shm_kb`` /
+  ``fanin.pickled_kb``), and the shared-memory sweep's heap peak
+  (tracemalloc: segment views are mapped, not allocated) comes in
+  strictly below the pickled fallback's,
 - the warm store serves every day from its result shard (neither the
   stream nor the kernel runs),
 - per-day memory is *flat*: on sweeps that compute days off warm
   input shards, every per-day stage (``profile.runner.compute.day*``)
   peaks no higher over the full window than over a third of it, and
   no higher than the in-RAM sweep's per-day stages (mapped pages are
-  the kernel's problem, not the process heap's).
+  the kernel's problem, not the process heap's),
+- no shared-memory segment outlives the sweeps.
 
-Only per-day stages are compared: the parent's fan-in and rule (v)
-hold the whole window's result by design, so their peaks grow with
-the number of days however flat each day is.
+Only per-day stages are compared for flatness: the parent's fan-in
+and rule (v) hold the whole window's result by design, so their peaks
+grow with the number of days however flat each day is.
 
-Wall-clocks, store counters, and every ``profile.*.peak_kb`` gauge
-land in ``BENCH_outofcore.json`` so CI archives the memory floor
-alongside the timing trend.
+Wall-clocks are not asserted here: CI records the warm store sweep's
+manifest into the run history, whose ``history check`` tracks them.
 """
 
 import datetime
+import pathlib
 import shutil
-import time
 
 from repro.delegation import (
     InferenceConfig,
@@ -34,6 +41,7 @@ from repro.delegation import (
     run_inference,
     write_daily_delegations,
 )
+from repro.delegation import runner
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation import World, internet_scenario
 
@@ -50,10 +58,18 @@ FLATNESS_SLACK = 1.5
 #: The per-day stages: worker-side spans, one per computed day.
 PER_DAY_PREFIX = "profile.runner.compute.day"
 
+SHM_DIR = pathlib.Path("/dev/shm")
+
 
 def _daily_bytes(result, path):
     write_daily_delegations(result.daily, path)
     return path.read_bytes()
+
+
+def _segments():
+    if not SHM_DIR.is_dir():
+        return set()
+    return {path.name for path in SHM_DIR.glob("rpfi*")}
 
 
 def _profile_peaks(metrics):
@@ -72,28 +88,35 @@ def _per_day_peaks(metrics):
     }
 
 
-def test_outofcore_internet_sweep(record_bench_json, tmp_path):
+def test_outofcore_internet_sweep(tmp_path, monkeypatch):
     scenario = internet_scenario()
     factory = WorldStreamFactory(scenario)
     as2org = World(scenario).as2org()
     start, end = scenario.bgp_start, scenario.bgp_end
     days = len(range(0, (end - start).days, STEP_DAYS))
     store_dir = tmp_path / "store"
+    segments_before = _segments()
 
-    def sweep(*, store=False, until=None, jobs=2):
+    def sweep(*, store=False, until=None, pickled=False):
         metrics = MetricsRegistry()
         metrics.enable_memory_profile()
-        t0 = time.perf_counter()
         try:
-            result = run_inference(
-                factory, start, until or end, InferenceConfig.extended(),
-                as2org=as2org, step_days=STEP_DAYS, jobs=jobs,
-                store_dir=store_dir if store else None, metrics=metrics,
-            )
+            with monkeypatch.context() as patch:
+                if pickled:
+                    patch.setattr(
+                        runner, "_create_worker_segment",
+                        lambda size, prefix: None,
+                    )
+                result = run_inference(
+                    factory, start, until or end,
+                    InferenceConfig.extended(),
+                    as2org=as2org, step_days=STEP_DAYS, jobs=2,
+                    store_dir=store_dir if store else None,
+                    metrics=metrics,
+                )
         finally:
             metrics.disable_memory_profile()
-        elapsed = time.perf_counter() - t0
-        return result, elapsed, metrics
+        return result, metrics
 
     def input_shard_sweep(until=None):
         # Without result shards a warm store re-runs the kernel on
@@ -101,20 +124,36 @@ def test_outofcore_internet_sweep(record_bench_json, tmp_path):
         shutil.rmtree(store_dir / "results")
         return sweep(store=True, until=until)
 
-    in_ram, in_ram_s, in_ram_metrics = sweep()
-    cold, cold_s, cold_metrics = sweep(store=True)
-    warm, warm_s, warm_metrics = sweep(store=True)
-    inputs, inputs_s, inputs_metrics = input_shard_sweep()
+    in_ram, in_ram_metrics = sweep()
+    pickled, pickled_metrics = sweep(pickled=True)
+    cold, cold_metrics = sweep(store=True)
+    warm, warm_metrics = sweep(store=True)
+    inputs, inputs_metrics = input_shard_sweep()
 
-    # Byte-identical through every data plane.
+    # Byte-identical through every data plane and both transports.
     expected = _daily_bytes(in_ram, tmp_path / "in_ram.jsonl")
+    assert _daily_bytes(pickled, tmp_path / "pickled.jsonl") == expected
     assert _daily_bytes(cold, tmp_path / "cold.jsonl") == expected
     assert _daily_bytes(warm, tmp_path / "warm.jsonl") == expected
     assert _daily_bytes(inputs, tmp_path / "inputs.jsonl") == expected
 
+    # Each transport carried every result back, and shared memory
+    # kept the heap peak below the pickled fallback's.
+    assert in_ram_metrics.gauge("fanin.shm_kb") > 0
+    assert in_ram_metrics.gauge("fanin.pickled_kb") == 0
+    assert pickled_metrics.gauge("fanin.pickled_kb") > 0
+    assert pickled_metrics.gauge("fanin.shm_kb") == 0
+    shm_peak = max(_profile_peaks(in_ram_metrics).values())
+    pickle_peak = max(_profile_peaks(pickled_metrics).values())
+    assert shm_peak < pickle_peak, (
+        f"shared-memory peak {shm_peak} kB not below the pickled "
+        f"fallback's {pickle_peak} kB"
+    )
+
     # The warm store served every day's result shard: no stream build
     # and no kernel run.
     assert cold_metrics.counter("store.writes") == days
+    assert cold_metrics.counter("store.result_writes") == days
     assert warm_metrics.counter("store.result_hits") == days
     assert warm.runner_stats.days_computed == 0
     assert warm_metrics.counter("store.misses") == 0
@@ -127,7 +166,7 @@ def test_outofcore_internet_sweep(record_bench_json, tmp_path):
     # window peak within FLATNESS_SLACK of the full window, and
     # mmap-fed days never out-peak the in-RAM stream build.
     partial_end = start + datetime.timedelta(days=(days // 3) * STEP_DAYS)
-    _, _, partial_metrics = input_shard_sweep(until=partial_end)
+    _, partial_metrics = input_shard_sweep(until=partial_end)
     full_days = _per_day_peaks(inputs_metrics)
     partial_days = _per_day_peaks(partial_metrics)
     in_ram_days = _per_day_peaks(in_ram_metrics)
@@ -139,32 +178,5 @@ def test_outofcore_internet_sweep(record_bench_json, tmp_path):
         )
     assert max(full_days.values()) <= max(in_ram_days.values())
 
-    shards = sorted(store_dir.rglob("*.shard"))
-    record_bench_json("outofcore", {
-        "scenario": "internet",
-        "window_days": (end - start).days,
-        "step_days": STEP_DAYS,
-        "sampled_days": days,
-        "partial_days": days // 3,
-        "jobs": 2,
-        "timings_s": {
-            "in_ram": round(in_ram_s, 3),
-            "cold_store": round(cold_s, 3),
-            "warm_store": round(warm_s, 3),
-            "warm_input_shards": round(inputs_s, 3),
-        },
-        "store": {
-            "shards": len(shards),
-            "bytes": sum(path.stat().st_size for path in shards),
-            "cold_writes": cold_metrics.counter("store.writes"),
-            "warm_result_hits": warm_metrics.counter("store.result_hits"),
-            "warm_mapped_kb": warm_metrics.gauge("store.mapped_kb"),
-            "input_shard_hits": inputs_metrics.counter("store.hits"),
-        },
-        "profile_peak_kb": {
-            "in_ram": _profile_peaks(in_ram_metrics),
-            "warm_store": _profile_peaks(warm_metrics),
-            "warm_input_shards": _profile_peaks(inputs_metrics),
-            "warm_input_shards_partial": _profile_peaks(partial_metrics),
-        },
-    })
+    # Every exit path above unlinked its segments.
+    assert _segments() == segments_before

@@ -8,7 +8,6 @@ numbers, and writes a paper-vs-measured comparison table under
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
@@ -33,28 +32,6 @@ def record_result():
         path = RESULTS_DIR / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         print(f"\n{text}\n[written to {path}]")
-        return str(path)
-
-    return _record
-
-
-@pytest.fixture(scope="session")
-def record_bench_json():
-    """Write machine-readable timings as ``BENCH_<name>.json``.
-
-    Sits next to the human-readable ``.txt`` table; CI uploads these
-    as artifacts so wall-clock history (cold/warm, before/after
-    speedups) survives across runs without parsing prose.
-    """
-
-    def _record(name: str, payload: dict) -> str:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        path = RESULTS_DIR / f"BENCH_{name}.json"
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"[bench json written to {path}]")
         return str(path)
 
     return _record

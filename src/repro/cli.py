@@ -26,8 +26,9 @@ observability flags:
   (``profile.*`` in the manifest), workers included.
 
 ``repro history record/list/diff/check`` turns recorded manifests
-into an append-only regression history; ``check`` exits 1 when a
-stage timing (mean *or* p99) regresses past ``--max-regress``.
+into an append-only regression history; ``check`` compares the latest
+run with the previous run of the same kind and exits 1 on
+deterministic drift, 3 when only timings or memory peaks regressed.
 ``repro obs top URL`` polls a running ``repro serve`` instance's
 ``/health`` + ``/metrics`` into a live latency dashboard.
 
@@ -76,7 +77,7 @@ from repro.obs import (
     render_manifest,
     summarize_trace,
 )
-from repro.obs.history import DEFAULT_MIN_PEAK_KB, DEFAULT_MIN_SECONDS
+from repro.obs.history import DEFAULT_MIN_SECONDS
 from repro.registry.rir import RIR
 from repro.simulation import (
     World,
@@ -241,6 +242,15 @@ def _pipeline_stage_table(
     )
 
 
+def _runner_settings(args: argparse.Namespace) -> dict:
+    """The runner flags ``history check`` pairs runs by."""
+    return {
+        "step_days": getattr(args, "step_days", 1),
+        "jobs": args.jobs,
+        "store": args.store is not None,
+    }
+
+
 def _write_infer_manifest(
     args: argparse.Namespace,
     command: str,
@@ -269,6 +279,7 @@ def _write_infer_manifest(
     manifest.cache = {"hits": hits, "misses": misses}
     manifest.extra["scale"] = args.scale
     manifest.extra["seed"] = args.seed
+    manifest.extra["runner"] = _runner_settings(args)
     manifest.write(args.metrics_out)
 
 
@@ -595,6 +606,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         manifest.extra["scale"] = args.scale
         manifest.extra["seed"] = args.seed
         manifest.extra["files_written"] = written
+        manifest.extra["runner"] = _runner_settings(args)
         manifest.write(args.metrics_out)
     _write_trace(args, metrics)
     _write_prom(args, metrics)
@@ -703,6 +715,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         manifest.extra["scale"] = args.scale
         manifest.extra["seed"] = args.seed
         manifest.extra["serve"] = server.health()
+        manifest.extra["runner"] = (
+            None if args.no_infer else _runner_settings(args)
+        )
         manifest.write(args.metrics_out)
     _write_trace(args, metrics)
     _write_prom(args, metrics)
@@ -770,21 +785,26 @@ def _cmd_history(args: argparse.Namespace) -> int:
     if sub == "diff":
         print(history.diff(args.baseline, args.candidate))
         return 0
-    # check: exit 1 when the candidate regressed past --max-regress.
-    regressions = history.check(
-        args.baseline,
-        args.candidate,
+    # check: exit 1 on deterministic drift, 3 on timing/peak findings.
+    baseline, drift, findings = history.check(
         max_regress=parse_percent(args.max_regress),
         min_seconds=args.min_seconds,
-        min_peak_kb=args.min_peak_kb,
     )
-    if not regressions:
-        print("history check: no regressions")
+    candidate = history.latest()
+    if baseline is None:
+        print(
+            f"history check: run {candidate['id']} "
+            f"({candidate['command']}) has no earlier run of this kind"
+        )
         return 0
-    print(f"history check: {len(regressions)} regression(s)")
-    for line in regressions:
+    head = f"history check: run {candidate['id']} vs run {baseline['id']}"
+    if not findings:
+        print(f"{head}: no regressions")
+        return 0
+    print(f"{head}: {len(findings)} regression(s)")
+    for line in findings:
         print(f"  - {line}")
-    return 1
+    return 1 if drift else 3
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1033,15 +1053,9 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("candidate", type=int, help="candidate run id")
     check = history_commands.add_parser(
         "check",
-        help="exit 1 if the candidate regressed past --max-regress",
-    )
-    check.add_argument(
-        "--baseline", type=int, required=True, metavar="ID",
-        help="baseline run id",
-    )
-    check.add_argument(
-        "--candidate", type=int, default=None, metavar="ID",
-        help="candidate run id (default: the latest run)",
+        help="compare the latest run with the previous run of its "
+             "kind: exit 1 on deterministic drift, 3 on timing or "
+             "memory regressions past --max-regress",
     )
     check.add_argument(
         "--max-regress", default="20%", metavar="PCT",
@@ -1053,12 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="ignore timers faster than S seconds in the baseline "
              f"(default {DEFAULT_MIN_SECONDS})",
-    )
-    check.add_argument(
-        "--min-peak-kb", type=float, default=DEFAULT_MIN_PEAK_KB,
-        metavar="KB",
-        help="ignore profile.*.peak_kb gauges below KB in the "
-             f"baseline (default {DEFAULT_MIN_PEAK_KB:.0f})",
     )
     history.set_defaults(handler=_cmd_history)
 

@@ -6,6 +6,7 @@ that silently made Fig. 6 slower needs runs compared *over time*.
 file where each line is one recorded run, condensed from its manifest
 into the comparable facts —
 
+- the run key ``check`` pairs runs by,
 - per-stage / per-timer wall-clock totals,
 - the §4 attrition table (records in / out / dropped per filter),
 - cache hit and miss counts,
@@ -15,32 +16,33 @@ into the comparable facts —
 
 On top of the store sit three operations, mirrored by the ``repro
 history`` CLI: ``diff`` renders what changed between two runs,
-``check`` turns the comparison into a machine-checkable gate (any
-shared timer regressing more than ``--max-regress`` fails, as does a
-quarantine increase or — for identical configurations — any attrition
-drift, which would mean determinism broke), and ``list`` shows the
-trajectory.  CI records each run's manifest and checks it against the
-previous one, so the benchmark history stops being a pile of text
-files and becomes an enforced floor.
+``list`` shows the trajectory, and ``check`` gates the latest run
+against the latest earlier run with the same ``key`` (command, config
+hash, input fingerprints, runner settings): deterministic drift exits
+1, timing and peak-memory regressions exit 3.  CI records every
+manifest into one history and checks it, so the benchmark trajectory
+is an enforced floor.
 
-Append-only by design (like the sweep journal): recording never
-rewrites existing lines, a crash mid-append loses at most the line
-being written, and loading skips a truncated tail.
+Append-only by design: recording never rewrites existing lines, a
+crash mid-append loses at most the line being written, loading skips
+a truncated tail, and the next record starts on a fresh line.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import os
 import pathlib
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import DatasetError
 
 PathLike = Union[str, pathlib.Path]
 
-#: Bump when the entry layout changes incompatibly.
-HISTORY_SCHEMA = 1
+#: Bump when the entry layout changes incompatibly.  Schema 2 added
+#: the run ``key``; schema-1 entries have none and never pair.
+HISTORY_SCHEMA = 2
 
 #: Default store location (relative to the working directory).
 DEFAULT_HISTORY_PATH = ".repro-history.jsonl"
@@ -100,11 +102,20 @@ def summarize_manifest(payload: dict) -> dict:
     gauges = metrics.get("gauges") or {}
     counters = metrics.get("counters") or {}
     extra = payload.get("extra") or {}
+    digest = payload.get("config_hash")
     return {
         "schema": HISTORY_SCHEMA,
         "command": payload.get("command", "?"),
         "created": payload.get("created"),
-        "config_hash": payload.get("config_hash"),
+        "config_hash": digest,
+        # What ``check`` pairs runs by.  A run without a config hash
+        # has no identity and is never anyone's baseline.
+        "key": None if digest is None else {
+            "command": payload.get("command", "?"),
+            "config_hash": digest,
+            "inputs": dict(payload.get("inputs") or {}),
+            "runner": extra.get("runner"),
+        },
         "scale": extra.get("scale"),
         "seed": extra.get("seed"),
         "stages": stages,
@@ -202,8 +213,15 @@ class RunHistory:
         ).isoformat(timespec="seconds")
         if self._path.parent != pathlib.Path(""):
             self._path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        with open(self._path, "a+b") as handle:
+            # A crash mid-append leaves a tail with no newline: start
+            # on a fresh line rather than gluing this entry onto it.
+            if handle.tell():
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = "\n" + line
+            handle.write(line.encode("utf-8"))
         return entry
 
     # -- comparison -----------------------------------------------------
@@ -215,23 +233,28 @@ class RunHistory:
 
     def check(
         self,
-        baseline_id: int,
-        candidate_id: Optional[int] = None,
         *,
         max_regress: float = 0.20,
         min_seconds: float = DEFAULT_MIN_SECONDS,
-        min_peak_kb: float = DEFAULT_MIN_PEAK_KB,
-    ) -> List[str]:
-        baseline = self.entry(baseline_id)
-        candidate = (
-            self.latest()
-            if candidate_id is None
-            else self.entry(candidate_id)
-        )
-        return find_regressions(
+    ) -> Tuple[Optional[dict], List[str], List[str]]:
+        """Gate the latest run against the latest earlier run of its key.
+
+        Returns ``(baseline, drift, findings)``: :func:`find_drift`
+        and :func:`find_regressions` of the pair, or ``(None, [], [])``
+        when no earlier entry shares the latest entry's run key.
+        """
+        candidate = self.latest()
+        key = candidate.get("key")
+        earlier = [
+            entry for entry in self.entries()[:-1]
+            if key is not None and entry.get("key") == key
+        ]
+        if not earlier:
+            return None, [], []
+        baseline = earlier[-1]
+        return baseline, find_drift(baseline, candidate), find_regressions(
             baseline, candidate,
             max_regress=max_regress, min_seconds=min_seconds,
-            min_peak_kb=min_peak_kb,
         )
 
 
@@ -388,15 +411,56 @@ def render_diff(baseline: dict, candidate: dict) -> str:
     return "\n".join(lines)
 
 
+def find_drift(baseline: dict, candidate: dict) -> List[str]:
+    """The deterministic findings, which fail the build (exit 1).
+
+    - any increase in quarantined records;
+    - any increase in a ``*.malformed`` counter (corrupt cache or
+      shard-store entries) or in ``spans.mismatched`` (corrupted span
+      nesting) — a corruption storm, not a perf issue;
+    - for runs with one run key: any drift in the attrition table
+      (sequential ≡ parallel determinism means these numbers must
+      never move for the same config, inputs and runner settings).
+    """
+    regressions: List[str] = []
+    base_quarantined = baseline.get("quarantined", 0) or 0
+    cand_quarantined = candidate.get("quarantined", 0) or 0
+    if cand_quarantined > base_quarantined:
+        regressions.append(
+            f"quarantined records: {base_quarantined} -> "
+            f"{cand_quarantined}"
+        )
+    base_malformed: Dict[str, int] = baseline.get("malformed") or {}
+    cand_malformed: Dict[str, int] = candidate.get("malformed") or {}
+    for name in sorted(set(base_malformed) | set(cand_malformed)):
+        a = base_malformed.get(name, 0) or 0
+        b = cand_malformed.get(name, 0) or 0
+        if b > a:
+            regressions.append(f"{name} entries: {a} -> {b}")
+    key = baseline.get("key")
+    if key is not None and key == candidate.get("key"):
+        base_stages = baseline.get("stages") or {}
+        cand_stages = candidate.get("stages") or {}
+        for name in sorted(set(base_stages) | set(cand_stages)):
+            if base_stages.get(name) != cand_stages.get(name):
+                regressions.append(
+                    f"attrition drift at {name!r} with identical run "
+                    "key (determinism regression)"
+                )
+    return regressions
+
+
 def find_regressions(
     baseline: dict,
     candidate: dict,
     *,
     max_regress: float = 0.20,
     min_seconds: float = DEFAULT_MIN_SECONDS,
-    min_peak_kb: float = DEFAULT_MIN_PEAK_KB,
 ) -> List[str]:
-    """The ``history check`` gate; returns one line per regression.
+    """The ``history check`` gate; returns one line per finding.
+
+    :func:`find_drift`'s deterministic findings come first; the
+    timing and memory findings after them only warn (exit 3):
 
     - any timer present in both runs whose baseline total is at least
       ``min_seconds`` and whose candidate total exceeds the baseline
@@ -406,18 +470,12 @@ def find_regressions(
       floor), candidate p99 beyond ``max_regress``.  Quantiles are
       exact-bucket (factor-2 bounds), so a flagged p99 moved at least
       one whole bucket — never float jitter;
-    - any increase in quarantined records;
-    - any increase in a ``*.malformed`` counter (corrupt cache or
-      shard-store entries) or in ``spans.mismatched`` (corrupted span
-      nesting) — a corruption storm, not a perf issue;
     - any ``profile.*.peak_kb`` gauge whose baseline is at least
-      ``min_peak_kb`` and whose candidate exceeds the baseline by
-      more than ``max_regress`` (the out-of-core memory floor);
-    - for runs with identical config hashes: any drift in the
-      attrition table (sequential ≡ parallel determinism means these
-      numbers must never move for the same config and inputs).
+      :data:`DEFAULT_MIN_PEAK_KB` and whose candidate exceeds the
+      baseline by more than ``max_regress`` (the out-of-core memory
+      floor).
     """
-    regressions: List[str] = []
+    regressions = find_drift(baseline, candidate)
     base_timers: Dict[str, dict] = baseline.get("timers") or {}
     cand_timers: Dict[str, dict] = candidate.get("timers") or {}
     for name in sorted(set(base_timers) & set(cand_timers)):
@@ -440,20 +498,6 @@ def find_regressions(
                 f"timer {name} p99: {a:.3f}s -> {b:.3f}s "
                 f"({(b - a) / a:+.1%}, limit {max_regress:+.0%})"
             )
-    base_quarantined = baseline.get("quarantined", 0) or 0
-    cand_quarantined = candidate.get("quarantined", 0) or 0
-    if cand_quarantined > base_quarantined:
-        regressions.append(
-            f"quarantined records: {base_quarantined} -> "
-            f"{cand_quarantined}"
-        )
-    base_malformed: Dict[str, int] = baseline.get("malformed") or {}
-    cand_malformed: Dict[str, int] = candidate.get("malformed") or {}
-    for name in sorted(set(base_malformed) | set(cand_malformed)):
-        a = base_malformed.get(name, 0) or 0
-        b = cand_malformed.get(name, 0) or 0
-        if b > a:
-            regressions.append(f"{name} entries: {a} -> {b}")
     base_profile: Dict[str, float] = baseline.get("profile") or {}
     cand_profile: Dict[str, float] = candidate.get("profile") or {}
     for name in sorted(set(base_profile) & set(cand_profile)):
@@ -461,24 +505,11 @@ def find_regressions(
             continue
         a = base_profile[name]
         b = cand_profile[name]
-        if a < min_peak_kb:
+        if a < DEFAULT_MIN_PEAK_KB:
             continue
         if b > a * (1.0 + max_regress):
             regressions.append(
                 f"gauge {name}: {a:.0f} kB -> {b:.0f} kB "
                 f"({(b - a) / a:+.1%}, limit {max_regress:+.0%})"
             )
-    same_config = (
-        baseline.get("config_hash") is not None
-        and baseline.get("config_hash") == candidate.get("config_hash")
-    )
-    if same_config:
-        base_stages = baseline.get("stages") or {}
-        cand_stages = candidate.get("stages") or {}
-        for name in sorted(set(base_stages) | set(cand_stages)):
-            if base_stages.get(name) != cand_stages.get(name):
-                regressions.append(
-                    f"attrition drift at {name!r} with identical "
-                    "config (determinism regression)"
-                )
     return regressions

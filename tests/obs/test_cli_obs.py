@@ -368,9 +368,9 @@ class TestHistoryCli:
         # runs must not fail the gate.
         assert main([
             "history", "--history", str(recorded),
-            "check", "--baseline", "1", "--max-regress", "500%",
+            "check", "--max-regress", "500%",
         ]) == 0
-        assert "no regressions" in capsys.readouterr().out
+        assert "run 2 vs run 1: no regressions" in capsys.readouterr().out
 
     def test_check_exits_nonzero_on_regression(self, recorded, capsys):
         # Forge a much slower third run from run 1's entry.
@@ -389,12 +389,13 @@ class TestHistoryCli:
         }
         with open(recorded, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(slow, sort_keys=True) + "\n")
+        # Timing findings alone only warn: exit 3, not 1.
         assert main([
             "history", "--history", str(recorded),
-            "check", "--baseline", "1", "--candidate", "3",
-            "--max-regress", "20%", "--min-seconds", "0.0001",
-        ]) == 1
+            "check", "--max-regress", "20%", "--min-seconds", "0.0001",
+        ]) == 3
         out = capsys.readouterr().out
+        assert "run 3 vs run 2" in out
         assert "regression" in out
         assert "timer" in out
 
@@ -420,11 +421,31 @@ class TestHistoryCli:
             handle.write(json.dumps(slow, sort_keys=True) + "\n")
         assert main([
             "history", "--history", str(recorded),
-            "check", "--baseline", "1", "--candidate", "3",
-            "--max-regress", "20%", "--min-seconds", "0.0000001",
-        ]) == 1
+            "check", "--max-regress", "20%", "--min-seconds", "0.0000001",
+        ]) == 3
         out = capsys.readouterr().out
         assert "p99" in out
+
+    def test_check_pairs_only_runs_of_one_kind(
+        self, recorded, tmp_path, capsys
+    ):
+        # Another seed hashes the same InferenceConfig, but its input
+        # fingerprint differs: no baseline, not "attrition drift".
+        # Other runner settings are another kind of run, too.
+        for argv in (
+            ["--seed", "7"] + _INFER_ARGS + ["--jobs", "1"],
+            _INFER_ARGS + ["--jobs", "2"],
+        ):
+            path = tmp_path / "other.json"
+            assert main(argv + ["--metrics-out", str(path)]) == 0
+            assert main([
+                "history", "--history", str(recorded), "record", str(path)
+            ]) == 0
+            capsys.readouterr()
+            assert main([
+                "history", "--history", str(recorded), "check",
+            ]) == 0
+            assert "no earlier run of this kind" in capsys.readouterr().out
 
     def test_record_reports_id_and_store(self, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import DatasetError
 from repro.obs import (
     RunHistory,
@@ -13,6 +14,7 @@ from repro.obs import (
     render_list,
     summarize_manifest,
 )
+from repro.obs.history import HISTORY_SCHEMA
 
 
 def _manifest(
@@ -23,10 +25,14 @@ def _manifest(
     profile=None,
     runner_p99=None,
     mismatched=0,
+    malformed=0,
+    inputs=None,
 ):
     """A minimal but structurally faithful manifest payload."""
     gauges = dict(profile or {})
     counters = {"spans.mismatched": mismatched} if mismatched else {}
+    if malformed:
+        counters["store.malformed"] = malformed
     runner = {
         "count": 1,
         "total_seconds": runner_seconds,
@@ -49,7 +55,7 @@ def _manifest(
         "created": "2026-08-06T00:00:00+00:00",
         "config": {"visibility_threshold": 10},
         "config_hash": config_hash,
-        "inputs": {"stream": "deadbeef"},
+        "inputs": inputs or {"stream": "deadbeef"},
         "stages": [
             {
                 "name": "(i) sanitize",
@@ -62,7 +68,11 @@ def _manifest(
         "degradation": (
             {"quarantined_total": quarantined} if quarantined else None
         ),
-        "extra": {"scale": "small", "seed": 42},
+        "extra": {
+            "scale": "small",
+            "seed": 42,
+            "runner": {"step_days": 1, "jobs": 2, "store": False},
+        },
         "metrics": {
             "counters": counters,
             "gauges": gauges,
@@ -158,9 +168,11 @@ class TestRunHistory:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"id": 2, "command": "inf')  # crash mid-write
         assert [e["id"] for e in history.entries()] == [1]
-        # Recording after a crash still produces a loadable store.
+        # Recording after a crash starts on a fresh line, so the new
+        # run is loadable rather than glued onto the fragment.
         entry = history.record(_manifest())
         assert entry["id"] == 2
+        assert [e["id"] for e in history.entries()] == [1, 2]
 
     def test_missing_file_is_empty(self, tmp_path):
         assert RunHistory(tmp_path / "absent.jsonl").entries() == []
@@ -189,8 +201,37 @@ class TestRunHistory:
         history = RunHistory(tmp_path / "h.jsonl")
         history.record(_manifest(runner_seconds=1.0))
         history.record(_manifest(runner_seconds=5.0))
-        regressions = history.check(1, max_regress=0.20)
+        baseline, drift, regressions = history.check(max_regress=0.20)
+        assert baseline["id"] == 1
+        assert drift == []
         assert any("timer runner" in line for line in regressions)
+
+    def test_check_pairs_by_run_key(self, tmp_path):
+        history = RunHistory(tmp_path / "h.jsonl")
+        history.record(_manifest(runner_seconds=1.0))
+        # Another world: a different key, never the baseline.
+        history.record(_manifest(
+            runner_seconds=0.1, pairs_seen=7, inputs={"stream": "other"}
+        ))
+        history.record(_manifest(runner_seconds=1.05))
+        baseline, drift, regressions = history.check(max_regress=0.20)
+        assert baseline["id"] == 1
+        assert drift == regressions == []
+
+    def test_keyless_entries_never_pair(self, tmp_path):
+        # Schema-1 entries carry no key, and neither does a run with
+        # no config hash: neither is ever a baseline.
+        path = tmp_path / "h.jsonl"
+        old = summarize_manifest(_manifest())
+        del old["key"]
+        old["id"] = 1
+        path.write_text(json.dumps(old) + "\n", encoding="utf-8")
+        history = RunHistory(path)
+        history.record(_manifest())
+        assert history.check() == (None, [], [])
+        history.record(_manifest(config_hash=None))
+        history.record(_manifest(config_hash=None))
+        assert history.check() == (None, [], [])
 
 
 class TestFindRegressions:
@@ -279,6 +320,100 @@ class TestFindRegressions:
             diff_base, diff_cand, max_regress=10.0
         ) == []
 
+    def test_attrition_drift_needs_same_inputs(self):
+        # `repro --seed 7 infer` hashes the same InferenceConfig as
+        # seed 42 but reads another world: its input fingerprint
+        # tells the two apart, so their attrition never "drifts".
+        base, cand = self._entries(
+            {"pairs_seen": 100},
+            {"pairs_seen": 90, "inputs": {"stream": "seed7"}},
+        )
+        assert find_regressions(base, cand, max_regress=10.0) == []
+
+    def test_peak_floor(self):
+        # Below the 1 MiB floor allocator noise is never gated ...
+        base, cand = self._entries(
+            {"profile": {"profile.runner.peak_kb": 1000.0}},
+            {"profile": {"profile.runner.peak_kb": 9000.0}},
+        )
+        assert find_regressions(base, cand, max_regress=0.20) == []
+        # ... at or above it, growth past max_regress is flagged.
+        base, cand = self._entries(
+            {"profile": {"profile.runner.peak_kb": 2048.0}},
+            {"profile": {"profile.runner.peak_kb": 4096.0}},
+        )
+        (line,) = find_regressions(base, cand, max_regress=0.20)
+        assert line.startswith("gauge profile.runner.peak_kb")
+
+
+class TestCheckExitCodes:
+    """``repro history check``: 1 on drift, 3 on timing only, else 0."""
+
+    def _check(self, tmp_path, capsys, *manifests):
+        history = tmp_path / "h.jsonl"
+        for n, manifest in enumerate(manifests):
+            path = tmp_path / f"m{n}.json"
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+            assert main([
+                "history", "--history", str(history), "record", str(path)
+            ]) == 0
+        capsys.readouterr()
+        code = main(["history", "--history", str(history), "check"])
+        return code, capsys.readouterr().out
+
+    def test_first_run_of_a_key_passes(self, tmp_path, capsys):
+        code, out = self._check(
+            tmp_path, capsys,
+            _manifest(),
+            _manifest(pairs_seen=7, inputs={"stream": "seed7"}),
+        )
+        assert code == 0
+        assert "run 2 (infer) has no earlier run of this kind" in out
+
+    def test_identical_runs_pass(self, tmp_path, capsys):
+        code, out = self._check(tmp_path, capsys, _manifest(), _manifest())
+        assert code == 0
+        assert "run 2 vs run 1: no regressions" in out
+
+    @pytest.mark.parametrize("candidate", [
+        {"pairs_seen": 90},
+        {"quarantined": 1},
+        {"malformed": 1},
+        {"mismatched": 1},
+    ])
+    def test_deterministic_findings_exit_1(
+        self, tmp_path, capsys, candidate
+    ):
+        code, _out = self._check(
+            tmp_path, capsys, _manifest(), _manifest(**candidate)
+        )
+        assert code == 1
+
+    @pytest.mark.parametrize("base, candidate", [
+        ({"runner_seconds": 1.0}, {"runner_seconds": 5.0}),
+        ({"runner_p99": 0.1}, {"runner_p99": 0.8}),
+        ({"profile": {"profile.runner.peak_kb": 2048.0}},
+         {"profile": {"profile.runner.peak_kb": 8192.0}}),
+    ])
+    def test_timing_and_peak_findings_alone_exit_3(
+        self, tmp_path, capsys, base, candidate
+    ):
+        code, out = self._check(
+            tmp_path, capsys, _manifest(**base), _manifest(**candidate)
+        )
+        assert code == 3
+        assert "1 regression(s)" in out
+
+    def test_mixed_findings_exit_1(self, tmp_path, capsys):
+        code, out = self._check(
+            tmp_path, capsys,
+            _manifest(runner_seconds=1.0),
+            _manifest(runner_seconds=5.0, malformed=2),
+        )
+        assert code == 1
+        assert "2 regression(s)" in out
+        assert "store.malformed entries: 0 -> 2" in out
+
 
 class TestRendering:
     def test_render_list_empty(self):
@@ -320,4 +455,10 @@ def test_entries_are_plain_json_lines(tmp_path):
     (line,) = path.read_text(encoding="utf-8").splitlines()
     payload = json.loads(line)
     assert payload["id"] == 1
-    assert payload["schema"] == 1
+    assert payload["schema"] == HISTORY_SCHEMA == 2
+    assert payload["key"] == {
+        "command": "infer",
+        "config_hash": "abc123" * 8,
+        "inputs": {"stream": "deadbeef"},
+        "runner": {"step_days": 1, "jobs": 2, "store": False},
+    }

@@ -246,7 +246,7 @@ class TestErrorPaths:
         history = tmp_path / "h.jsonl"
         self._assert_clean_failure(
             ["history", "--history", str(history),
-             "check", "--baseline", "1", "--max-regress", "soonish"],
+             "check", "--max-regress", "soonish"],
             capsys, "not a percentage",
         )
 
