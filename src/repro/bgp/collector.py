@@ -13,12 +13,19 @@ from __future__ import annotations
 import datetime
 import json
 import pathlib
+from array import array
+from bisect import bisect_left
+from itertools import compress
+from operator import and_
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union,
 )
 
-from repro.bgp.message import Announcement, RouteRecord
+from repro.bgp.message import (
+    Announcement, AnnouncementColumns, AnnouncementDay, RouteRecord,
+)
 from repro.bgp.propagation import PropagationModel
+from repro.bgp.rib import UNIQUE_ORIGIN, PairTable
 from repro.errors import CollectorDataError
 from repro.netbase.aspath import ASPath, ASPathSegment, SegmentType
 
@@ -88,9 +95,14 @@ class Collector:
         return f"<Collector {self._name}: {len(self._monitors)} monitors>"
 
 
-def _popcount(mask: int) -> int:
-    """Set bits in ``mask`` (``int.bit_count`` needs Python 3.10)."""
+def _bin_popcount(mask: int) -> int:
+    """Set bits in ``mask``, for Pythons without ``int.bit_count``."""
     return bin(mask).count("1")
+
+
+#: Set bits in a non-negative int: ``int.bit_count`` (Python 3.10+),
+#: else :func:`_bin_popcount`.
+_popcount = getattr(int, "bit_count", _bin_popcount)
 
 
 def _mask_of(monitors: Iterable[int], bits: Dict[int, int]) -> int:
@@ -114,6 +126,110 @@ def _with_as_set_origin(as_path: ASPath) -> ASPath:
         segments.append(ASPathSegment(SegmentType.SEQUENCE, head))
     segments.append(ASPathSegment(SegmentType.SET, [origin]))
     return ASPath(segments)
+
+
+class _RowVisibility:
+    """Per-row collector facts of one :class:`AnnouncementColumns`.
+
+    - ``masks`` — each row's visible-monitor mask (its origin's entry
+      in the visibility table),
+    - ``counts`` — ``array('I')`` of mask popcounts,
+    - ``shared`` — visible rows whose key another row also has; they
+      are folded into a day's table one at a time,
+    - ``direct`` — ``bytes`` selector of the visible rows not in
+      ``shared``, or ``None`` when that is every row.
+    """
+
+    __slots__ = ("rows", "masks", "counts", "shared", "direct")
+
+    def __init__(
+        self, rows: AnnouncementColumns, origin_masks: Dict[int, int]
+    ) -> None:
+        self.rows = rows
+        masks = [origin_masks.get(origin, 0) for origin in rows.origins]
+        self.masks = masks
+        self.counts = array("I", map(_popcount, masks))
+        keys = rows.keys
+        # Keys are sorted, so rows sharing a key are adjacent.
+        repeated = {
+            key for key, following in zip(keys, keys[1:]) if key == following
+        }
+        self.shared = [
+            row for row, key in enumerate(keys)
+            if key in repeated and masks[row]
+        ]
+        direct = bytes(
+            bool(mask) and key not in repeated
+            for key, mask in zip(keys, masks)
+        )
+        self.direct = None if all(direct) else direct
+
+
+def _as_day(announcements: Iterable[Announcement]) -> AnnouncementDay:
+    """``announcements`` as a day for aggregation.
+
+    A day passes through.  Any other iterable becomes the columns of
+    its plain announcements, all selected, with its restricted and
+    AS_SET ones as extras: aggregation does not depend on order.
+    """
+    if isinstance(announcements, AnnouncementDay):
+        return announcements
+    keys: List[int] = []
+    origins: List[int] = []
+    extras = []
+    for announcement in announcements:
+        prefix = announcement.prefix
+        key = (prefix.network << 6) | prefix.length
+        restricted = announcement.restricted_to_monitors
+        if restricted is None and not announcement.as_set_origin:
+            keys.append(key)
+            origins.append(announcement.origin_asn)
+        else:
+            extras.append((
+                key, announcement.origin_asn, restricted,
+                announcement.as_set_origin,
+            ))
+    rows = AnnouncementColumns.from_sequence(keys, origins)
+    return AnnouncementDay(rows, b"\x01" * len(rows), extras)
+
+
+def _picked(typecode: str, column, selected) -> "array":
+    """The ``selected`` entries of ``column`` as an ``array``.
+
+    Built from a list: ``array`` copies a list in one pass, but grows
+    item by item from an iterator.
+    """
+    return array(typecode, list(compress(column, selected)))
+
+
+def _fold(
+    table: PairTable,
+    masks: List[int],
+    key: int,
+    origin: int,
+    mask: int,
+    flag: int,
+) -> None:
+    """Fold one visible (key, origin, monitor mask, flag) fact into a
+    key-sorted ``table`` whose rows' monitor masks are ``masks``.
+
+    A prefix stays unique-origin only while every fact on it is unique
+    and names the same origin; its count is the union's popcount.
+    """
+    keys = table.keys
+    index = bisect_left(keys, key)
+    if index == len(keys) or keys[index] != key:
+        keys.insert(index, key)
+        table.origins.insert(index, origin if flag else 0)
+        table.flags.insert(index, flag)
+        table.monitor_counts.insert(index, _popcount(mask))
+        masks.insert(index, mask)
+        return
+    masks[index] |= mask
+    table.monitor_counts[index] = _popcount(masks[index])
+    if table.flags[index] and not (flag and origin == table.origins[index]):
+        table.flags[index] = 0
+        table.origins[index] = 0
 
 
 class CollectorSystem:
@@ -140,6 +256,7 @@ class CollectorSystem:
         self._visibility: Optional[
             Tuple[Dict[int, int], Dict[int, int]]
         ] = None
+        self._rows_seen: Optional[_RowVisibility] = None
 
     @property
     def propagation(self) -> PropagationModel:
@@ -238,51 +355,67 @@ class CollectorSystem:
             for prefix in origins
         }
 
-    def pair_table_for_day(self, announcements: Iterable[Announcement]):
+    def _row_visibility(self, rows: AnnouncementColumns) -> "_RowVisibility":
+        """What the collectors see of each row of ``rows``.
+
+        Computed once per columns object: a source hands the same
+        columns to every day it generates.
+        """
+        seen = self._rows_seen
+        if seen is None or seen.rows is not rows:
+            seen = _RowVisibility(rows, self._visibility_table()[1])
+            self._rows_seen = seen
+        return seen
+
+    def pair_table_for_day(
+        self, announcements: Iterable[Announcement]
+    ) -> PairTable:
         """Aggregate the day straight into a columnar
         :class:`~repro.bgp.rib.PairTable`.
 
         Same facts as :meth:`pair_counts_for_day` — per-prefix origin
-        uniqueness and distinct monitor count — but with no
-        :class:`~repro.netbase.asnum.OriginSet` objects: each prefix
-        holds one mutable slot ``[origin, as_set, visible,
-        multi_origin]`` whose monitors are an int mask, so the union
-        across announcements is ``|``.  Tests assert row-level
-        equivalence with the object path.
+        uniqueness and distinct monitor count — read off packed
+        columns: an :class:`~repro.bgp.message.AnnouncementDay` as it
+        is, any other announcement iterable coerced into one.  The
+        day's selected rows are plain and already in key order, so
+        they go into the table by ``compress``.  The rest (extras, and
+        rows whose key another row shares) are folded in one at a
+        time: monitor masks unite with ``|``, and a second origin or an
+        AS_SET makes the origin non-unique.  The object-based slot
+        loop this replaced is the oracle of
+        ``tests/simulation/test_day_table_properties.py``.
         """
-        from repro.bgp.rib import PairTable
-
-        # slot = [first origin, saw AS_SET, visible-monitor mask, saw
-        # another origin]
-        slots: Dict[int, list] = {}
+        day = _as_day(announcements)
+        seen = self._row_visibility(day.rows)
+        selected = day.selected
+        if seen.direct is not None:
+            selected = bytes(map(and_, selected, seen.direct))
+        keys = _picked("Q", day.rows.keys, selected)
+        table = PairTable(
+            keys,
+            _picked("Q", day.rows.origins, selected),
+            array("B", [UNIQUE_ORIGIN]) * len(keys),
+            _picked("I", seen.counts, selected),
+        )
+        folds = [
+            (day.rows.keys[row], day.rows.origins[row], seen.masks[row],
+             UNIQUE_ORIGIN)
+            for row in seen.shared if day.selected[row]
+        ]
         bits, masks = self._visibility_table()
-        for announcement in announcements:
-            origin = announcement.origin_asn
+        for key, origin, restricted, as_set in day.extras:
             visible = masks.get(origin, 0)
-            if announcement.restricted_to_monitors is not None:
-                visible &= _mask_of(announcement.restricted_to_monitors, bits)
-            if not visible:
-                continue
-            prefix = announcement.prefix
-            key = (prefix.network << 6) | prefix.length
-            slot = slots.get(key)
-            if slot is None:
-                slots[key] = [
-                    origin, announcement.as_set_origin, visible, False
-                ]
-                continue
-            if origin != slot[0]:
-                slot[3] = True
-            if announcement.as_set_origin:
-                slot[1] = True
-            slot[2] |= visible
-        aggregate = {}
-        for key, slot in slots.items():
-            unique = not (slot[1] or slot[3])
-            aggregate[key] = (
-                slot[0] if unique else 0, unique, _popcount(slot[2])
-            )
-        return PairTable.from_aggregate(aggregate)
+            if restricted is not None:
+                visible &= _mask_of(restricted, bits)
+            if visible:
+                folds.append(
+                    (key, origin, visible, 0 if as_set else UNIQUE_ORIGIN)
+                )
+        if folds:
+            row_masks = list(compress(seen.masks, selected))
+            for fold in folds:
+                _fold(table, row_masks, *fold)
+        return table
 
     # -- archives --------------------------------------------------------
 

@@ -136,21 +136,28 @@ class RouteStream:
         """One day's pairs as a columnar :class:`~repro.bgp.rib.
         PairTable` — the input of the per-day inference kernel.
 
-        Source-backed streams aggregate announcements straight into
-        packed arrays (:meth:`CollectorSystem.pair_table_for_day`);
-        archive-backed streams convert the record-level aggregation.
-        Spans/counters use the same names as :meth:`pairs_on`.
+        Source-backed streams aggregate the source's packed day
+        straight into packed arrays
+        (:meth:`CollectorSystem.pair_table_for_day`), under two child
+        spans: ``simulation.announce`` (making the day) and
+        ``bgp.aggregate`` (aggregating it).  Archive-backed streams
+        convert the record-level aggregation.  Spans/counters otherwise
+        use the same names as :meth:`pairs_on`.
         """
         from repro.bgp.rib import PairTable
 
-        with self._metrics.span("stream.pairs_on"):
+        metrics = self._metrics
+        with metrics.span("stream.pairs_on"):
             if self._source is not None:
-                table = self._system.pair_table_for_day(self._source(date))
+                with metrics.span("simulation.announce"):
+                    day = self._source(date)
+                with metrics.span("bgp.aggregate"):
+                    table = self._system.pair_table_for_day(day)
             else:
                 table = PairTable.from_pairs(
                     prefix_origin_pairs(self.records_on(date))
                 )
-        self._metrics.inc("stream.pairs_aggregated", len(table))
+        metrics.inc("stream.pairs_aggregated", len(table))
         return table
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,6 +71,47 @@ class DelegationSpec:
         return self.onoff.is_on(date.toordinal())
 
 
+#: ``active_until`` ordinal of an open-ended spec: past every date.
+_OPEN_END = 2 ** 31 - 1
+
+
+class AnnouncementSchedule:
+    """:meth:`DelegationSpec.announced_on` for many rows at once.
+
+    Row ``i`` follows ``specs[i]``; a ``None`` row is announced on
+    every date.  The schedules are packed into ``array('i')`` columns
+    of date ordinals and duty cycles, so :meth:`announced` is one scan.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, specs: Sequence[Optional[DelegationSpec]]):
+        def column(always: int, value) -> "array":
+            return array("i", (
+                always if s is None else value(s) for s in specs
+            ))
+
+        # A row without a spec is active from the earliest ordinal
+        # with a one-day, always-on cycle.
+        self._columns = (
+            column(1, lambda s: s.active_from.toordinal()),
+            column(_OPEN_END, lambda s: _OPEN_END if s.active_until is None
+                   else s.active_until.toordinal()),
+            column(1, lambda s: 1 if s.onoff is None
+                   else s.onoff.period_days),
+            column(1, lambda s: 1 if s.onoff is None
+                   else s.onoff.period_days - s.onoff.off_days),
+            column(0, lambda s: 0 if s.onoff is None else s.onoff.phase),
+        )
+
+    def announced(self, ordinal: int) -> List[bool]:
+        """Per row: is it announced on date ordinal ``ordinal``?"""
+        return [
+            start <= ordinal < end and (ordinal + phase) % period < on
+            for start, end, period, on, phase in zip(*self._columns)
+        ]
+
+
 class DelegationPlan:
     """All delegation specs of the world plus daily queries."""
 
@@ -85,9 +127,6 @@ class DelegationPlan:
 
     def intra_org(self) -> List[DelegationSpec]:
         return [s for s in self._specs if s.intra_org]
-
-    def announced_on(self, date: datetime.date) -> List[DelegationSpec]:
-        return [s for s in self._specs if s.announced_on(date)]
 
     def active_on(self, date: datetime.date) -> List[DelegationSpec]:
         return [s for s in self._specs if s.active_on(date)]

@@ -269,3 +269,26 @@ class TestMaterializeCounter:
         mapped = PairTable.from_buffer(table.to_bytes(), len(table))
         mapped.materialize()
         assert PairTable.materialize_count == before + 1
+
+
+class TestPopcount:
+    """``_popcount`` is ``int.bit_count`` where it exists (3.10+); the
+    ``bin().count`` fallback serves 3.9 and must agree with it."""
+
+    MASKS = [0, 1, 2 ** 64 - 1, 2 ** 200 + 5]
+
+    def test_fallback_counts_set_bits(self):
+        from repro.bgp.collector import _bin_popcount
+
+        assert [_bin_popcount(m) for m in self.MASKS] == [0, 1, 64, 3]
+
+    def test_bound_implementation_agrees_with_fallback(self):
+        import random
+
+        from repro.bgp.collector import _bin_popcount, _popcount
+
+        rng = random.Random(7)
+        masks = self.MASKS + [rng.getrandbits(96) for _ in range(200)]
+        assert [_popcount(m) for m in masks] == [
+            _bin_popcount(m) for m in masks
+        ]

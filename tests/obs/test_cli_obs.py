@@ -50,6 +50,32 @@ class TestTraceOut:
             e["name"] == "runner.compute.day" for e in spans
         )
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_generator_layers_nest_under_pairs_on(
+        self, tmp_path, capsys, jobs
+    ):
+        trace_path = tmp_path / "t.json"
+        manifest_path = tmp_path / "m.json"
+        _run_infer(capsys, [
+            "--jobs", jobs,
+            "--trace-out", str(trace_path),
+            "--metrics-out", str(manifest_path),
+        ])
+        names = [
+            e["name"] for e in load_trace(trace_path)["traceEvents"]
+            if e.get("ph") == "X"
+        ]
+        computed = load_manifest(manifest_path)["cache"]["misses"]
+        assert computed > 0
+        parent = "runner.compute.day.stream.pairs_on"
+        assert names.count(parent) == computed
+        for child in ("simulation.announce", "bgp.aggregate"):
+            assert names.count(f"{parent}.{child}") == computed
+            # Only ever opened inside ``stream.pairs_on``.
+            assert [n for n in names if n.endswith(child)] == [
+                f"{parent}.{child}"
+            ] * computed
+
     def test_trace_is_valid_chrome_json(self, tmp_path, capsys):
         trace_path = tmp_path / "t.json"
         _run_infer(capsys, ["--jobs", "1", "--trace-out", str(trace_path)])

@@ -1,0 +1,87 @@
+"""Cross-commit anchor for the day generator.
+
+The digests below were recorded with the object-based generator (one
+``Announcement`` per route, aggregated by a per-prefix slot loop).  The
+packed generator must reproduce them byte for byte.  The differential
+suites compare the runner against ``infer_range``, but both read days
+through the same generator, so a bug they share would not show there;
+these fixed digests would.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.bgp.stream import date_range
+from repro.cli import main
+from repro.simulation import World, paper_scenario
+
+#: sha256 of each figure CSV from
+#: ``repro --scale small --seed 42 figures DIR --jobs 1``.
+#: ``fig6_runner.csv`` is left out: it carries wall-clock seconds.
+FIGURES_SMALL_SEED_42 = {
+    "fig1.csv": (
+        "a6017290dc50bb04419675314e70ef08"
+        "84c8149fae2ad0aa655e34ee3459be25"
+    ),
+    "fig2.csv": (
+        "dea25bc620d35bd6b2821746d3f7a1ce"
+        "ee14400bf34ad1cc3e4295a4daec2f8d"
+    ),
+    "fig4.csv": (
+        "67550e82602e2421d82f051ec8320a59"
+        "ddafa28b1a56cd484545363902243dbd"
+    ),
+    "fig5.csv": (
+        "74af084b2f25ee5a9ebf0295ee1041da"
+        "cdf4d264b82c4e4821dc3c70bab52d89"
+    ),
+    "fig6.csv": (
+        "1c9a8c49f929dcae65988fe9a7738671"
+        "c46915557b596e39bb2cc4900ba117a1"
+    ),
+}
+
+#: sha256 of the concatenated ``PairTable.to_bytes()`` of every 30th
+#: day of the paper-scale BGP window, per seed.
+PAPER_PAIR_TABLES = {
+    3: (
+        "dcc800a63c52b7b8ea283dcc0753092c"
+        "991750d9cfff2c258cfbf7e6fea79196"
+    ),
+    42: (
+        "49c28fe078cc4e8667fc030b640f6a91"
+        "8c037a15d6714328fb1745515fd2d88b"
+    ),
+}
+
+#: Days between sampled paper-scale days.
+PAPER_STEP_DAYS = 30
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_small_figures_are_unchanged(tmp_path, capsys):
+    assert main([
+        "--scale", "small", "--seed", "42",
+        "figures", str(tmp_path), "--jobs", "1",
+    ]) == 0
+    capsys.readouterr()
+    digests = {
+        name: _sha256((tmp_path / name).read_bytes())
+        for name in FIGURES_SMALL_SEED_42
+    }
+    assert digests == FIGURES_SMALL_SEED_42
+
+
+@pytest.mark.parametrize("seed", sorted(PAPER_PAIR_TABLES))
+def test_paper_pair_tables_are_unchanged(seed):
+    world = World(paper_scenario(seed=seed))
+    config = world.config
+    stream = world.stream()
+    digest = hashlib.sha256()
+    for date in date_range(config.bgp_start, config.bgp_end, PAPER_STEP_DAYS):
+        digest.update(stream.pair_table_on(date).to_bytes())
+    assert digest.hexdigest() == PAPER_PAIR_TABLES[seed]
