@@ -554,8 +554,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         ),
         export_fig5_rules(
             evaluate_rules_on_rpki(
-                world.rpki(), (2, 5, 10, 20, 30, 50, 70, 90), (0, 1, 2, 3),
-                jobs=args.jobs or 0,
+                world.rpki(), (2, 5, 10, 20, 30, 50, 70, 90), (0, 1, 2, 3)
             ),
             base / "fig5.csv", metrics=metrics,
         ),

@@ -23,11 +23,7 @@ from repro.delegation.fusion import (
     Source,
     fuse_delegations,
 )
-from repro.delegation.consistency import (
-    ConsistencyRule,
-    evaluate_rule,
-    fill_gaps,
-)
+from repro.delegation.consistency import ConsistencyRule, fill_gaps
 from repro.delegation.io import (
     read_daily_delegations,
     write_daily_delegations,
@@ -66,7 +62,6 @@ __all__ = [
     "RunnerStats",
     "WorldStreamFactory",
     "compare_delegations",
-    "evaluate_rule",
     "evaluate_rules_on_rpki",
     "extract_rdap_delegations",
     "fill_gaps",

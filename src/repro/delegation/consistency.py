@@ -1,12 +1,17 @@
 """The "(M, N)" consistency-rule family (appendix A).
 
 Rules have the form: *if a delegation is observed on day X and on day
-X+M, it also exists for all but N days in between.*  Two operations:
+X+M, it also exists for all but N days in between.*  Both operations
+run on one representation: the sorted observation days as day
+ordinals, and each delegation's sightings as sorted *grid positions*
+(indices into those days).  Positions ``i < j`` have data for every
+calendar day between them exactly when ``ordinal[j] - ordinal[i] ==
+j - i``, so one path serves daily and sparse grids alike.
 
-- :func:`evaluate_rule` — measure a rule's **fail rate** on observed
-  delegation timelines (the fraction of (X, X+M) pairs whose gap
-  exceeds N missing days), used on RPKI data to pick (M=10, N=0)
-  (Fig. 5);
+- :func:`evaluate_rules` — measure the **fail rate** of a family of
+  rules on observed delegation timelines (the fraction of (X, X+M)
+  pairs whose gap exceeds N missing days), used on RPKI data to pick
+  (M=10, N=0) (Fig. 5);
 - :func:`fill_gaps` — apply a rule to BGP delegations (extension (v)):
   gaps up to M days are filled **unless** a *conflicting* delegation
   (same prefix, different delegatee) was observed in between.
@@ -15,10 +20,11 @@ X+M, it also exists for all but N days in between.*  Two operations:
 from __future__ import annotations
 
 import datetime
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
-from repro.delegation.model import DailyDelegations, DelegationKey
+from repro.delegation.model import DailyDelegations
 from repro.obs.metrics import NULL, MetricsRegistry
 
 
@@ -36,93 +42,90 @@ class ConsistencyRule:
             raise ValueError("N cannot be negative")
 
 
-def evaluate_rule(
-    timelines: Mapping[tuple, Sequence[datetime.date]],
-    rule: ConsistencyRule,
-    observation_dates: Sequence[datetime.date],
-) -> Tuple[int, int]:
-    """Count (premises, violations) of ``rule`` over ``timelines``.
+@dataclass(frozen=True)
+class RuleEvaluation:
+    """Fail rate of one (M, N) rule on a set of timelines."""
 
-    ``timelines`` maps a delegation key to the sorted dates it was
-    observed; ``observation_dates`` is the full grid of days data
-    exists for (gaps in the *data* must not count as absences).
+    max_span_days: int     # M
+    allowed_missing: int   # N
+    premises: int
+    violations: int
 
-    A premise is any pair of observations of the same delegation
-    exactly M days apart (with data available for every day between);
-    it is violated when the delegation is absent on more than N of the
-    in-between days.
+    @property
+    def fail_rate(self) -> float:
+        if self.premises == 0:
+            return 0.0
+        return self.violations / self.premises
+
+
+def _grid(
+    observation_dates: Iterable[datetime.date],
+) -> Tuple[List[datetime.date], Dict[datetime.date, int], List[int]]:
+    """The sorted grid days, day → position, and position → ordinal."""
+    days = sorted(set(observation_dates))
+    position = {day: i for i, day in enumerate(days)}
+    return days, position, [day.toordinal() for day in days]
+
+
+def evaluate_rules(
+    timelines: Mapping[tuple, Iterable[datetime.date]],
+    observation_dates: Iterable[datetime.date],
+    span_values: Iterable[int],
+    missing_values: Iterable[int],
+) -> List[RuleEvaluation]:
+    """Evaluate every distinct (M, N) rule on ``timelines``.
+
+    ``timelines`` maps a delegation key to the dates it was observed;
+    ``observation_dates`` is the grid of days data exists for, so gaps
+    in the *data* never count as absences.  A premise is a pair of
+    sightings exactly M days apart with data for all M-1 days between;
+    it is violated when the delegation is absent on more than N of
+    them.  Sightings off the grid take no part.
+
+    One pass per key and M fills a histogram of absent-day counts,
+    which answers every N at once.  Returns one
+    :class:`RuleEvaluation` per distinct (M, N), ordered by (M, N);
+    raises :class:`ValueError` for M < 1 or N < 0.
     """
-    date_index = {date: i for i, date in enumerate(sorted(observation_dates))}
-    sorted_dates = sorted(observation_dates)
-    premises = 0
-    violations = 0
-    span = datetime.timedelta(days=rule.max_span_days)
+    rules = [
+        ConsistencyRule(span, missing)
+        for span in sorted(set(span_values))
+        for missing in sorted(set(missing_values))
+    ]
+    _days, position, ordinals = _grid(observation_dates)
+    absent = {rule.max_span_days: [0] * rule.max_span_days for rule in rules}
     for dates in timelines.values():
-        present = set(dates)
-        for start in dates:
-            end = start + span
-            if end not in present:
-                continue
-            # Require full data coverage for the in-between days.
-            start_i = date_index.get(start)
-            end_i = date_index.get(end)
-            if start_i is None or end_i is None:
-                continue
-            between = sorted_dates[start_i + 1:end_i]
-            if any(
-                (day - start).days < 0 or (end - day).days < 0
-                for day in between
-            ):  # pragma: no cover - sorted grid guarantees order
-                continue
-            expected_days = rule.max_span_days - 1
-            if len(between) != expected_days:
-                continue  # data gaps: not a valid premise
-            premises += 1
-            missing = sum(1 for day in between if day not in present)
-            if missing > rule.allowed_missing:
-                violations += 1
-    return premises, violations
+        seen = sorted({position[day] for day in dates if day in position})
+        rank = {i: r for r, i in enumerate(seen)}
+        for span, counts in absent.items():
+            for r, i in enumerate(seen):
+                s = rank.get(i + span)
+                if s is not None and ordinals[i + span] - ordinals[i] == span:
+                    # s - r - 1 of the M - 1 days between are sightings.
+                    counts[span - s + r] += 1
+    return [
+        RuleEvaluation(
+            max_span_days=rule.max_span_days,
+            allowed_missing=rule.allowed_missing,
+            premises=sum(absent[rule.max_span_days]),
+            violations=sum(
+                absent[rule.max_span_days][rule.allowed_missing + 1:]
+            ),
+        )
+        for rule in rules
+    ]
 
 
-def fail_rate(
-    timelines: Mapping[tuple, Sequence[datetime.date]],
-    rule: ConsistencyRule,
-    observation_dates: Sequence[datetime.date],
-) -> float:
-    """The rule's fail rate (violations / premises); 0.0 if no premise."""
-    premises, violations = evaluate_rule(timelines, rule, observation_dates)
-    if premises == 0:
-        return 0.0
-    return violations / premises
-
-
-def _conflict_days_by_prefix(
-    timelines: Mapping[DelegationKey, Sequence[datetime.date]],
-) -> Dict[object, Dict[int, Set[datetime.date]]]:
-    """prefix → delegatee → observation days, for *ambiguous* prefixes.
-
-    A conflict can only arise on a prefix delegated to more than one
-    delegatee somewhere in the window; those are rare (MOAS announcements
-    are dropped in step (iii)), so restricting the map to them keeps
-    :func:`fill_gaps` from indexing every (day, delegation) pair.
-    """
-    delegatees: Dict[object, Set[int]] = {}
-    for prefix, _delegator, delegatee in timelines:
-        delegatees.setdefault(prefix, set()).add(delegatee)
-    ambiguous = {p for p, seen in delegatees.items() if len(seen) > 1}
-    conflict_map: Dict[object, Dict[int, Set[datetime.date]]] = {}
-    for (prefix, _delegator, delegatee), dates in timelines.items():
-        if prefix in ambiguous:
-            conflict_map.setdefault(prefix, {}).setdefault(
-                delegatee, set()
-            ).update(dates)
-    return conflict_map
+def _observed_between(positions: List[int], i: int, j: int) -> bool:
+    """Whether the sorted ``positions`` hold one strictly between i and j."""
+    k = bisect_right(positions, i)
+    return k < len(positions) and positions[k] < j
 
 
 def fill_gaps(
     daily: DailyDelegations,
     rule: ConsistencyRule,
-    observation_dates: Sequence[datetime.date],
+    observation_dates: Iterable[datetime.date],
     *,
     metrics: MetricsRegistry = NULL,
 ) -> DailyDelegations:
@@ -136,45 +139,56 @@ def fill_gaps(
 
     Only days present in ``observation_dates`` are filled: the rule
     reconstructs what measurement gaps hid, it does not invent data for
-    days nobody measured.
+    days nobody measured.  A sighting on a day off the grid still
+    breaks the gap around it.
 
     ``metrics`` receives ``pipeline.consistency.fills`` (key-days
     added) and ``pipeline.consistency.conflicts`` (gaps left open
     because of a rival delegation); both are deterministic functions
     of the input, so parallel and sequential runs report the same.
     """
-    sorted_dates = sorted(observation_dates)
-    date_index = {date: i for i, date in enumerate(sorted_dates)}
-    timelines = daily.timeline()
-    conflicts = _conflict_days_by_prefix(timelines)
+    days, position, ordinals = _grid(observation_dates)
+    # Sightings in date order; an off-grid day is position -1.
+    sightings = {
+        key: [position.get(day, -1) for day in seen]
+        for key, seen in daily.timeline().items()
+    }
+    # Rivals can only exist on a prefix delegated to more than one
+    # delegatee somewhere in the window; those are rare (MOAS
+    # announcements are dropped in step (iii)), so only they are
+    # indexed: prefix → delegatee → sorted grid positions.
+    delegatees: Dict[object, Set[int]] = {}
+    for prefix, _delegator, delegatee in sightings:
+        delegatees.setdefault(prefix, set()).add(delegatee)
+    rivals: Dict[object, Dict[int, List[int]]] = {}
+    for (prefix, _delegator, delegatee), seen in sightings.items():
+        if len(delegatees[prefix]) > 1:
+            rivals.setdefault(prefix, {}).setdefault(delegatee, []).extend(
+                i for i in seen if i >= 0
+            )
+    for by_delegatee in rivals.values():
+        for positions in by_delegatee.values():
+            positions.sort()
     filled = daily.copy()
     fill_count = 0
     conflict_count = 0
-    for key, dates in timelines.items():
+    for key, seen in sightings.items():
         prefix, _delegator, delegatee = key
-        rivals = conflicts.get(prefix)
-        for first, second in zip(dates, dates[1:]):
-            gap_days = (second - first).days
-            if gap_days <= 1 or gap_days > rule.max_span_days:
+        for i, j in zip(seen, seen[1:]):
+            # Adjacent positions leave no grid day to fill.
+            if i < 0 or j <= i + 1:
                 continue
-            start_i = date_index.get(first)
-            end_i = date_index.get(second)
-            if start_i is None or end_i is None:
+            if ordinals[j] - ordinals[i] > rule.max_span_days:
                 continue
-            between = sorted_dates[start_i + 1:end_i]
-            if rivals is not None:
-                between_set = set(between)
-                conflicted = any(
-                    other != delegatee
-                    and not days.isdisjoint(between_set)
-                    for other, days in rivals.items()
-                )
-                if conflicted:
-                    conflict_count += 1
-                    continue
-            for day in between:
-                filled.record(day, [key])
-            fill_count += len(between)
+            if any(
+                other != delegatee and _observed_between(positions, i, j)
+                for other, positions in rivals.get(prefix, {}).items()
+            ):
+                conflict_count += 1
+                continue
+            for between in range(i + 1, j):
+                filled.record(days[between], (key,))
+            fill_count += j - i - 1
     metrics.inc("pipeline.consistency.fills", fill_count)
     metrics.inc("pipeline.consistency.conflicts", conflict_count)
     return filled

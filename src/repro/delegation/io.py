@@ -62,10 +62,6 @@ def key_from_json(raw: object) -> DelegationKey:
         int(delegatee),
     )
 
-# Backwards-compatible aliases (pre-runner internal names).
-_key_to_json = key_to_json
-_key_from_json = key_from_json
-
 
 def write_daily_delegations(
     daily: DailyDelegations,

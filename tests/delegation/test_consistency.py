@@ -6,8 +6,7 @@ import pytest
 
 from repro.delegation.consistency import (
     ConsistencyRule,
-    evaluate_rule,
-    fail_rate,
+    evaluate_rules,
     fill_gaps,
 )
 from repro.delegation.model import DailyDelegations
@@ -40,50 +39,41 @@ class TestRuleValidation:
 class TestEvaluateRule:
     def test_no_gap_no_violation(self):
         dates = grid(D(2020, 1, 1), 11)
-        timelines = {KEY: dates}
-        premises, violations = evaluate_rule(
-            timelines, ConsistencyRule(10, 0), dates
-        )
-        assert premises == 1  # exactly one pair 10 days apart
-        assert violations == 0
+        [evaluation] = evaluate_rules({KEY: dates}, dates, [10], [0])
+        assert evaluation.premises == 1  # exactly one pair 10 days apart
+        assert evaluation.violations == 0
 
     def test_gap_violates_strict_rule(self):
         dates = grid(D(2020, 1, 1), 11)
         observed = [d for d in dates if d != D(2020, 1, 5)]
-        premises, violations = evaluate_rule(
-            {KEY: observed}, ConsistencyRule(10, 0), dates
-        )
-        assert premises == 1 and violations == 1
+        [evaluation] = evaluate_rules({KEY: observed}, dates, [10], [0])
+        assert (evaluation.premises, evaluation.violations) == (1, 1)
 
     def test_gap_allowed_with_n(self):
         dates = grid(D(2020, 1, 1), 11)
         observed = [d for d in dates if d != D(2020, 1, 5)]
-        premises, violations = evaluate_rule(
-            {KEY: observed}, ConsistencyRule(10, 1), dates
-        )
-        assert premises == 1 and violations == 0
+        [evaluation] = evaluate_rules({KEY: observed}, dates, [10], [1])
+        assert (evaluation.premises, evaluation.violations) == (1, 0)
 
     def test_data_gaps_are_not_premises(self):
         # Observation grid itself misses a day inside the span.
         dates = [d for d in grid(D(2020, 1, 1), 11) if d != D(2020, 1, 5)]
-        timelines = {KEY: dates}
-        premises, _ = evaluate_rule(timelines, ConsistencyRule(10, 0), dates)
-        assert premises == 0
+        [evaluation] = evaluate_rules({KEY: dates}, dates, [10], [0])
+        assert evaluation.premises == 0
 
     def test_multiple_premises(self):
         dates = grid(D(2020, 1, 1), 21)
-        premises, violations = evaluate_rule(
-            {KEY: dates}, ConsistencyRule(10, 0), dates
-        )
-        assert premises == 11  # days 0..10 can each start a pair
-        assert violations == 0
+        [evaluation] = evaluate_rules({KEY: dates}, dates, [10], [0])
+        assert evaluation.premises == 11  # days 0..10 can each start a pair
+        assert evaluation.violations == 0
 
     def test_fail_rate(self):
         dates = grid(D(2020, 1, 1), 11)
         observed = [d for d in dates if d != D(2020, 1, 5)]
-        rate = fail_rate({KEY: observed}, ConsistencyRule(10, 0), dates)
-        assert rate == 1.0
-        assert fail_rate({}, ConsistencyRule(10, 0), dates) == 0.0
+        [evaluation] = evaluate_rules({KEY: observed}, dates, [10], [0])
+        assert evaluation.fail_rate == 1.0
+        [empty] = evaluate_rules({}, dates, [10], [0])
+        assert empty.fail_rate == 0.0
 
     def test_premise_spans_exactly_m_minus_one_between_days(self):
         # Boundary audit: a (M=10, N) premise judges exactly the M-1
@@ -91,22 +81,15 @@ class TestEvaluateRule:
         # are the observations themselves, never "missing".
         dates = grid(D(2020, 1, 1), 11)
         observed = [dates[0], dates[10]]  # absent on all 9 between
-        premises, violations = evaluate_rule(
-            {KEY: observed}, ConsistencyRule(10, 9), dates
-        )
-        assert premises == 1 and violations == 0  # 9 missing == N
-        premises, violations = evaluate_rule(
-            {KEY: observed}, ConsistencyRule(10, 8), dates
-        )
-        assert premises == 1 and violations == 1  # 9 missing > N=8
+        strict, lenient = evaluate_rules({KEY: observed}, dates, [10], [8, 9])
+        assert (lenient.premises, lenient.violations) == (1, 0)  # 9 == N
+        assert (strict.premises, strict.violations) == (1, 1)  # 9 > N=8
 
     def test_monotone_in_n(self):
         dates = grid(D(2020, 1, 1), 31)
         observed = [d for i, d in enumerate(dates) if i % 4 != 3]
-        rates = [
-            fail_rate({KEY: observed}, ConsistencyRule(12, n), dates)
-            for n in range(4)
-        ]
+        evaluations = evaluate_rules({KEY: observed}, dates, [12], range(4))
+        rates = [e.fail_rate for e in evaluations]
         assert rates == sorted(rates, reverse=True)
 
 
@@ -156,6 +139,15 @@ class TestFillGaps:
         # Gap of 7 days <= 10 but no observation day in between: nothing
         # new recorded, nothing invented off-grid.
         assert filled.dates() == [dates[0], dates[1]]
+
+    def test_off_grid_sighting_breaks_gap(self):
+        # A sighting on a day the grid lacks splits the gap around it
+        # into two gaps that each end off the grid: neither is filled.
+        dates = [d for d in grid(D(2020, 1, 1), 11) if d != D(2020, 1, 5)]
+        daily = self._daily([dates[0], D(2020, 1, 5), dates[7]])
+        filled = fill_gaps(daily, ConsistencyRule(10, 0), dates)
+        for date in dates[1:7]:
+            assert KEY not in filled.on(date)
 
     def test_original_untouched(self):
         dates = grid(D(2020, 1, 1), 6)

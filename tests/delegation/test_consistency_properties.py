@@ -1,23 +1,52 @@
-"""Property-based tests for the consistency-rule machinery."""
+"""Property-based tests for the consistency-rule machinery.
+
+The differential classes compare :mod:`repro.delegation.consistency`
+with the date-walking evaluator and the set-based gap filler kept in
+:mod:`tests.delegation.consistency_oracle`, on daily and sparse grids
+with sightings on days off the grid.
+"""
 
 import datetime
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.delegation.consistency import ConsistencyRule, evaluate_rule, fill_gaps
+from repro.delegation.consistency import (
+    ConsistencyRule,
+    evaluate_rules,
+    fill_gaps,
+)
 from repro.delegation.model import DailyDelegations
 from repro.netbase.prefix import IPv4Prefix
+from repro.obs.metrics import MetricsRegistry
+from tests.delegation import consistency_oracle as oracle
 
 START = datetime.date(2020, 1, 1)
 GRID = [START + datetime.timedelta(days=i) for i in range(40)]
 KEY = (IPv4Prefix.parse("193.0.4.0/24"), 100, 200)
 CONFLICT = (IPv4Prefix.parse("193.0.4.0/24"), 100, 300)
+#: Same prefix and delegatee as KEY, another delegator: not a rival.
+SAME_DELEGATEE = (IPv4Prefix.parse("193.0.4.0/24"), 101, 200)
+OTHER_PREFIX = (IPv4Prefix.parse("193.0.8.0/24"), 100, 300)
 
 #: Random subsets of grid days on which the delegation was observed.
 day_subsets = st.sets(
     st.integers(min_value=0, max_value=len(GRID) - 1), max_size=len(GRID)
 )
+
+
+#: Observation grids over day offsets 0..29: the full daily grid, or
+#: any non-empty subset of it.
+grids = st.one_of(
+    st.just(list(range(30))),
+    st.sets(st.integers(min_value=0, max_value=29), min_size=1).map(sorted),
+)
+#: Sighting offsets, including days on either side of every grid.
+sightings = st.sets(st.integers(min_value=-4, max_value=33), max_size=12)
+
+
+def day(offset):
+    return START + datetime.timedelta(days=offset)
 
 
 def build_daily(indices, key=KEY):
@@ -88,37 +117,68 @@ class TestEvaluateProperties:
     @given(day_subsets, st.integers(min_value=1, max_value=20))
     def test_violations_bounded_by_premises(self, indices, span):
         timeline = {KEY: sorted(GRID[i] for i in indices)}
-        premises, violations = evaluate_rule(
-            timeline, ConsistencyRule(span, 0), GRID
-        )
-        assert 0 <= violations <= premises
+        for evaluation in evaluate_rules(timeline, GRID, [span], range(4)):
+            assert 0 <= evaluation.violations <= evaluation.premises
 
     @settings(max_examples=60)
     @given(day_subsets, st.integers(min_value=1, max_value=20))
     def test_monotone_in_allowed_missing(self, indices, span):
         timeline = {KEY: sorted(GRID[i] for i in indices)}
-        previous = None
-        for missing in range(4):
-            _premises, violations = evaluate_rule(
-                timeline, ConsistencyRule(span, missing), GRID
+        evaluations = evaluate_rules(timeline, GRID, [span], range(4))
+        violations = [e.violations for e in evaluations]
+        assert violations == sorted(violations, reverse=True)
+
+
+class TestOracleDifferential:
+    @settings(max_examples=150)
+    @given(
+        grids,
+        st.lists(sightings, min_size=1, max_size=3),
+        st.sets(st.integers(1, 12), min_size=1, max_size=3),
+        st.sets(st.integers(0, 4), min_size=1, max_size=3),
+    )
+    def test_evaluate_rules(
+        self, grid, offsets, spans, missing
+    ):
+        dates = [day(i) for i in grid]
+        timelines = {
+            (KEY[0], 100, 200 + k): sorted(day(i) for i in seen)
+            for k, seen in enumerate(offsets)
+        }
+        expected = [
+            (span, n) + oracle.evaluate_rule(
+                timelines, ConsistencyRule(span, n), dates
             )
-            if previous is not None:
-                assert violations <= previous
-            previous = violations
+            for span in sorted(spans)
+            for n in sorted(missing)
+        ]
+        assert [
+            (e.max_span_days, e.allowed_missing, e.premises, e.violations)
+            for e in evaluate_rules(timelines, dates, spans, missing)
+        ] == expected
 
-    @settings(max_examples=60)
-    @given(day_subsets)
-    def test_fast_path_matches_generic(self, indices):
-        """The daily-grid fast path equals the generic evaluator."""
-        from repro.delegation.rpki_eval import _evaluate_daily_fast
-
-        timeline = {KEY: sorted(GRID[i] for i in indices)}
-        for span in (3, 7, 12):
-            for missing in (0, 2):
-                expected = evaluate_rule(
-                    timeline, ConsistencyRule(span, missing), GRID
-                )
-                [fast] = _evaluate_daily_fast(
-                    timeline, GRID, [span], [missing]
-                )
-                assert (fast.premises, fast.violations) == expected
+    @settings(max_examples=150)
+    @given(
+        grids,
+        st.fixed_dictionaries({
+            key: sightings
+            for key in (KEY, CONFLICT, SAME_DELEGATEE, OTHER_PREFIX)
+        }),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_fill_gaps(self, grid, offsets, span):
+        dates = [day(i) for i in grid]
+        daily = DailyDelegations()
+        for key, seen in offsets.items():
+            for i in seen:
+                daily.record(day(i), [key])
+        rule = ConsistencyRule(span, 0)
+        metrics, oracle_metrics = MetricsRegistry(), MetricsRegistry()
+        filled = fill_gaps(daily, rule, dates, metrics=metrics)
+        expected = oracle.fill_gaps(
+            daily, rule, dates, metrics=oracle_metrics
+        )
+        assert filled.dates() == expected.dates()
+        for date in expected.dates():
+            assert filled.on(date) == expected.on(date)
+        assert metrics.counters() == oracle_metrics.counters()

@@ -20,11 +20,16 @@ def p(text):
     return IPv4Prefix.parse(text)
 
 
-def build_database(days, missing_days=()):
-    """Daily snapshots with one delegation, absent on missing_days."""
+def build_database(days, missing_days=(), unobserved=()):
+    """Daily snapshots with one delegation, absent on missing_days.
+
+    Days in ``unobserved`` have no snapshot, which makes the grid sparse.
+    """
     database = RoaDatabase()
     start = D(2020, 1, 1)
     for i in range(days):
+        if i in unobserved:
+            continue
         date = start + datetime.timedelta(days=i)
         roas = [Roa(p("193.0.0.0/16"), 100)]
         if i not in missing_days:
@@ -70,3 +75,32 @@ class TestEvaluation:
         evaluations = evaluate_rules_on_rpki(database, [20, 5, 10], [0])
         spans = [e.max_span_days for e in evaluations]
         assert spans == [5, 10, 20]
+
+
+#: A daily snapshot grid and one with a day missing from it.
+GRIDS = pytest.mark.parametrize(
+    "unobserved", [(), (20,)], ids=["daily", "sparse"]
+)
+
+
+class TestRuleFamilyInput:
+    @GRIDS
+    @pytest.mark.parametrize(
+        "spans, missing", [([0], [0]), ([10], [-1]), ([0], [0, -1])]
+    )
+    def test_bad_rules_rejected_on_every_grid(
+        self, unobserved, spans, missing
+    ):
+        database = build_database(30, unobserved=unobserved)
+        with pytest.raises(ValueError):
+            evaluate_rules_on_rpki(database, spans, missing)
+
+    @GRIDS
+    def test_duplicate_values_evaluated_once(self, unobserved):
+        database = build_database(
+            30, missing_days={5}, unobserved=unobserved
+        )
+        [once] = evaluate_rules_on_rpki(database, [10], [0])
+        assert once.premises > 0 and once.violations > 0
+        assert evaluate_rules_on_rpki(database, [10, 10], [0]) == [once]
+        assert evaluate_rules_on_rpki(database, [10], [0, 0]) == [once]
