@@ -21,10 +21,14 @@ from __future__ import annotations
 
 import datetime
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, count, repeat
+from operator import lt, sub
 from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
-from repro.delegation.model import DailyDelegations
+from repro.delegation.model import DailyDelegations, pack_quads
 from repro.obs.metrics import NULL, MetricsRegistry
 
 
@@ -147,48 +151,72 @@ def fill_gaps(
     because of a rival delegation); both are deterministic functions
     of the input, so parallel and sequential runs report the same.
     """
-    days, position, ordinals = _grid(observation_dates)
-    # Sightings in date order; an off-grid day is position -1.
-    sightings = {
-        key: [position.get(day, -1) for day in seen]
-        for key, seen in daily.timeline().items()
-    }
+    grid, position, ordinals = _grid(observation_dates)
+    recorded = daily.dates()
+    # Every day a column can end up on — the recorded days and the grid
+    # days — indexed in date order; sightings arrive as those indices.
+    days = sorted(set(recorded) | set(grid))
+    index = {day: u for u, day in enumerate(days)}
+    to_grid = [position.get(day, -1) for day in days]
+    from_grid = [index[day] for day in grid]
+    sightings = daily.sightings([index[day] for day in recorded])
     # Rivals can only exist on a prefix delegated to more than one
     # delegatee somewhere in the window; those are rare (MOAS
     # announcements are dropped in step (iii)), so only they are
-    # indexed: prefix → delegatee → sorted grid positions.
-    delegatees: Dict[object, Set[int]] = {}
-    for prefix, _delegator, delegatee in sightings:
-        delegatees.setdefault(prefix, set()).add(delegatee)
-    rivals: Dict[object, Dict[int, List[int]]] = {}
-    for (prefix, _delegator, delegatee), seen in sightings.items():
-        if len(delegatees[prefix]) > 1:
-            rivals.setdefault(prefix, {}).setdefault(delegatee, []).extend(
-                i for i in seen if i >= 0
-            )
+    # indexed: (network, length) → delegatee → sorted grid positions.
+    delegatees: Dict[Tuple[int, int], Set[int]] = {}
+    for network, length, _delegator, delegatee in sightings:
+        delegatees.setdefault((network, length), set()).add(delegatee)
+    rivals: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
+    for (network, length, _delegator, delegatee), seen in sightings.items():
+        if len(delegatees[network, length]) > 1:
+            rivals.setdefault((network, length), {}).setdefault(
+                delegatee, []
+            ).extend(to_grid[u] for u in seen if to_grid[u] >= 0)
     for by_delegatee in rivals.values():
         for positions in by_delegatee.values():
             positions.sort()
-    filled = daily.copy()
     fill_count = 0
     conflict_count = 0
-    for key, seen in sightings.items():
-        prefix, _delegator, delegatee = key
-        for i, j in zip(seen, seen[1:]):
-            # Adjacent positions leave no grid day to fill.
+    gap = partial(lt, 1)
+    for (network, length, _delegator, delegatee), seen in sightings.items():
+        fills: List[int] = []
+        # Sightings on adjacent days leave nothing between them, so only
+        # the k with seen[k + 1] - seen[k] > 1 are looked at.
+        for k in compress(count(), map(gap, map(sub, seen[1:], seen))):
+            i, j = to_grid[seen[k]], to_grid[seen[k + 1]]
+            # Adjacent grid positions leave no grid day to fill; a
+            # sighting off the grid (-1) breaks the gap around it.
             if i < 0 or j <= i + 1:
                 continue
             if ordinals[j] - ordinals[i] > rule.max_span_days:
                 continue
             if any(
                 other != delegatee and _observed_between(positions, i, j)
-                for other, positions in rivals.get(prefix, {}).items()
+                for other, positions in rivals.get(
+                    (network, length), {}
+                ).items()
             ):
                 conflict_count += 1
                 continue
-            for between in range(i + 1, j):
-                filled.record(days[between], (key,))
-            fill_count += j - i - 1
+            fills.extend(from_grid[i + 1:j])
+        seen.extend(fills)
+        fill_count += len(fills)
+    # Rebuild every column in key order: each key's packed record goes
+    # onto each day it is now present on, and a day's column is the
+    # join of its records.
+    records: List[List[bytes]] = [[] for _ in days]
+    add = list.append
+    for quad in sorted(sightings):
+        deque(map(
+            add, map(records.__getitem__, sightings[quad]),
+            repeat(pack_quads((quad,)).tobytes()),
+        ), maxlen=0)
+    was_recorded = set(recorded)
+    filled = DailyDelegations()
+    for day, column in zip(days, records):
+        if column or day in was_recorded:
+            filled.record_quads(day, b"".join(column))
     metrics.inc("pipeline.consistency.fills", fill_count)
     metrics.inc("pipeline.consistency.conflicts", conflict_count)
     return filled

@@ -24,7 +24,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.asorg.as2org import As2OrgDataset
 from repro.bgp.message import RouteRecord
@@ -35,7 +35,7 @@ from repro.delegation.consistency import ConsistencyRule, fill_gaps
 from repro.delegation.model import (
     BgpDelegation,
     DailyDelegations,
-    DelegationKey,
+    pack_quads,
 )
 from repro.errors import ReproError
 from repro.netbase.bogons import BOGON_PREFIXES
@@ -80,6 +80,19 @@ def record_pipeline_counters(
         "pipeline.dropped.same_org", result.delegations_dropped_same_org
     )
     metrics.inc("pipeline.delegations", delegations_total)
+
+
+def rows_column(rows: Iterable[Tuple[int, int, int, int]]) -> array:
+    """One day's packed delegation column from the kernel's rows.
+
+    Rows come key-ascending with one row per key, so the quads
+    ``(network, length, delegator, delegatee)`` come out sorted and
+    free of duplicates, as :class:`DailyDelegations` keeps them.
+    """
+    return pack_quads(
+        (key >> 6, key & 0x3F, delegator, delegatee)
+        for key, delegator, delegatee, _cover in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -175,10 +188,6 @@ class DelegationInference:
                 "same_org_filter requires an as2org dataset"
             )
         self._as2org = as2org
-        # Packed key → IPv4Prefix, shared across days: consecutive days
-        # delegate almost the same prefixes, so the columnar drivers
-        # materialize each distinct prefix exactly once per run.
-        self._prefix_cache: Dict[int, IPv4Prefix] = {}
 
     @property
     def config(self) -> InferenceConfig:
@@ -398,7 +407,6 @@ class DelegationInference:
         )
         total_monitors = stream.monitor_count()
         delegations_total = 0
-        prefix_cache = self._prefix_cache
         for date in date_range(start, end, step_days):
             result.observation_dates.append(date)
             with metrics.span("pipeline.day"):
@@ -406,15 +414,8 @@ class DelegationInference:
                     stream.pair_table_on(date), total_monitors,
                     date, result, metrics=metrics,
                 )
-                keys = []
-                for key, delegator, delegatee, _cover in rows:
-                    prefix = prefix_cache.get(key)
-                    if prefix is None:
-                        prefix = IPv4Prefix(key >> 6, key & 0x3F)
-                        prefix_cache[key] = prefix
-                    keys.append((prefix, delegator, delegatee))
                 day_count = len(rows)
-                result.daily.record(date, keys)
+                result.daily.record_quads(date, rows_column(rows))
             delegations_total += day_count
             if len(result.observation_dates) % 100 == 0:
                 logger.debug(

@@ -12,9 +12,13 @@ import datetime
 import hashlib
 import json
 import pathlib
-from typing import List, Union
+from typing import Dict, Tuple, Union
 
-from repro.delegation.model import DailyDelegations, DelegationKey
+from repro.delegation.model import (
+    DailyDelegations,
+    DelegationKey,
+    iter_quads,
+)
 from repro.errors import DatasetError
 from repro.netbase.prefix import IPv4Prefix
 
@@ -41,18 +45,9 @@ def content_digest(payload: object) -> str:
     ).hexdigest()
 
 
-def key_to_json(key: DelegationKey) -> List[object]:
-    """``(P', S, T)`` → JSON-safe ``[str(P'), S, T]``.
-
-    Shared by the JSONL result files here and the per-day cache
-    payloads in :mod:`repro.delegation.runner`.
-    """
-    prefix, delegator, delegatee = key
-    return [str(prefix), delegator, delegatee]
-
-
 def key_from_json(raw: object) -> DelegationKey:
-    """Inverse of :func:`key_to_json`; raises :class:`DatasetError`."""
+    """JSON ``[str(P'), S, T]`` → ``(P', S, T)``; raises
+    :class:`DatasetError`."""
     if not isinstance(raw, list) or len(raw) != 3:
         raise DatasetError(f"malformed delegation key: {raw!r}")
     prefix_text, delegator, delegatee = raw
@@ -67,14 +62,27 @@ def write_daily_delegations(
     daily: DailyDelegations,
     path: Union[str, pathlib.Path],
 ) -> str:
-    """Write one JSON object per day; returns the path."""
+    """Write one JSON object per day; returns the path.
+
+    Each day lists its keys as ``[str(P'), S, T]``, sorted in that
+    form, read straight off the day's packed column.
+    """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    texts: Dict[Tuple[int, int], str] = {}
     with open(path, "w", encoding="utf-8") as handle:
         for date in daily.dates():
-            keys = sorted(
-                key_to_json(key) for key in daily.on(date)
-            )
+            keys = []
+            for network, length, delegator, delegatee in iter_quads(
+                daily.column(date)
+            ):
+                text = texts.get((network, length))
+                if text is None:
+                    text = texts[network, length] = str(
+                        IPv4Prefix(network, length)
+                    )
+                keys.append([text, delegator, delegatee])
+            keys.sort()
             handle.write(json.dumps({
                 "date": date.isoformat(),
                 "delegations": keys,

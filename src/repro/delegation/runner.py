@@ -16,9 +16,11 @@ so this module provides:
   payloads into one shared-memory segment in the compact v2 ``RPD2``
   layout (a fixed struct header with the date and the five attrition
   counters, then flat little-endian ``(network, length, delegator,
-  delegatee)`` quads, 16 bytes per delegation) and the parent decodes
-  zero-copy views; a chunk that cannot get a segment comes back
-  pickled instead;
+  delegatee)`` quads, 16 bytes per delegation) and the parent copies
+  each day's body into that day's
+  :class:`~repro.delegation.model.DailyDelegations` column in one
+  buffer copy; a chunk that cannot get a segment comes back pickled
+  instead;
 - **persistent per-day results** — with a
   :class:`~repro.store.shard.ShardStore` attached, every computed
   day's RPD2 bytes are written through to the store's result-shard
@@ -65,12 +67,12 @@ from repro.delegation.inference import (
     InferenceConfig,
     InferenceResult,
     record_pipeline_counters,
+    rows_column,
 )
 from repro.delegation.io import content_digest
 from repro.delegation.model import DailyDelegations
 from repro.errors import ReproError
 from repro.netbase.lpm import require_codec_itemsizes
-from repro.netbase.prefix import IPv4Prefix
 from repro.obs.metrics import NULL, MetricsRegistry
 from repro.store.shard import ShardStore
 
@@ -220,32 +222,23 @@ _COUNTER_FIELDS = (
 )
 
 
-def _quads_body_bytes(quads) -> bytes:
-    """The flat little-endian u32 body for any quad sequence.
-
-    Zero-copy fan-in views have the bytes already in payload order, so
-    they re-encode without touching a single quad tuple.
-    """
-    if isinstance(quads, _QuadView):
-        return quads.tobytes()
-    body = array("I")
-    for quad in quads:
-        body.extend(quad)
-    if sys.byteorder != "little":
-        body.byteswap()
-    return body.tobytes()
-
-
 def _encode_payload(payload: dict) -> bytes:
-    """Serialize one day's payload into the v2 binary form."""
+    """Serialize one day's payload into the v2 binary form.
+
+    ``payload["delegations"]`` is the day's flat native-order u32
+    column (an ``array("I")`` or a cast view), four words per quad.
+    """
     date = payload["date"]
     counters = payload["counters"]
-    quads = payload["delegations"]
+    words = payload["delegations"]
     header = _CACHE_HEADER.pack(
         _CACHE_MAGIC, CACHE_SCHEMA, date.year, date.month, date.day,
-        *(counters[name] for name in _COUNTER_FIELDS), len(quads),
+        *(counters[name] for name in _COUNTER_FIELDS), len(words) // 4,
     )
-    return header + _quads_body_bytes(quads)
+    if sys.byteorder != "little":
+        words = array("I", words)
+        words.byteswap()
+    return header + memoryview(words).tobytes()
 
 
 def _payload_to_bytes(payload: dict) -> bytes:
@@ -265,11 +258,12 @@ def _decode_payload(data) -> Optional[dict]:
     """Parse one v2 payload; ``None`` for anything torn or foreign.
 
     ``data`` is any buffer: bytes, a shared-memory slice, a mapped
-    result shard.  On little-endian hosts the delegations come back as
-    a zero-copy :class:`_QuadView` into it; big-endian hosts decode a
-    list of tuples instead (a cast view would transpose every word).
-    The payload keeps the buffer under ``"raw"`` so writing it to a
-    result shard is a plain buffer copy.
+    result shard.  The delegations come back as the flat native-order
+    u32 column: on little-endian hosts a zero-copy ``"I"`` cast of the
+    body, on big-endian hosts a byte-swapped ``array("I")`` copy (a
+    cast view would transpose every word).  The payload keeps the
+    buffer under ``"raw"`` so writing it to a result shard is a plain
+    buffer copy.
     """
     view = data if isinstance(data, memoryview) else memoryview(data)
     if len(view) < _CACHE_HEADER.size:
@@ -287,14 +281,11 @@ def _decode_payload(data) -> Optional[dict]:
         return None
     body = view[_CACHE_HEADER.size:]
     if sys.byteorder == "little":
-        delegations = _QuadView(body)
+        delegations = body.cast("I")
     else:
-        words = array("I")
-        words.frombytes(body)
-        words.byteswap()
-        delegations = [
-            tuple(words[i:i + 4]) for i in range(0, len(words), 4)
-        ]
+        delegations = array("I")
+        delegations.frombytes(body)
+        delegations.byteswap()
     return {
         "date": date,
         "delegations": delegations,
@@ -311,8 +302,8 @@ def _decode_payload(data) -> Optional[dict]:
 # returns only ``("shm", name, size, entries)`` — a few dozen bytes
 # per chunk.  The parent attaches the segment, **unlinks it
 # immediately** (the mapping survives; the name cannot leak past a
-# crash), and decodes each entry as a :class:`_QuadView` — a cast
-# memoryview straight into the segment, never a list of tuples.
+# crash), and decodes each entry as a cast memoryview straight into the
+# segment, which the fan-in copies into the day's column.
 #
 # Segment names carry a per-run prefix (parent pid + run counter), so
 # the parent can sweep any segment a dying worker left behind: names
@@ -420,36 +411,6 @@ def _sweep_segments(prefix: str) -> int:
             removed, prefix,
         )
     return removed
-
-
-class _QuadView:
-    """Zero-copy sequence view over a payload's flat u32 quad body.
-
-    Satisfies everything the fan-in and the result-shard writer need
-    from ``payload["delegations"]`` — ``len``, iteration,
-    re-encoding — while the quads stay in the shared-memory segment
-    (or result-shard map) they arrived in.  Little-endian hosts only;
-    :func:`_decode_payload` decodes a tuple list elsewhere.
-    """
-
-    __slots__ = ("_words",)
-
-    def __init__(self, view: memoryview) -> None:
-        self._words = view.cast("I")
-
-    def __len__(self) -> int:
-        return len(self._words) // 4
-
-    def __iter__(self):
-        words = self._words
-        for base in range(0, len(words), 4):
-            yield (
-                words[base], words[base + 1],
-                words[base + 2], words[base + 3],
-            )
-
-    def tobytes(self) -> bytes:
-        return self._words.tobytes()
 
 
 class _FanInReceiver:
@@ -659,14 +620,13 @@ def _compute_day_payload(
 ) -> dict:
     """Steps (i)–(iv) for one day, as a numeric payload.
 
-    The payload mirrors the v2 result layout: ``(network, length,
-    delegator, delegatee)`` quads plus the bookkeeping counters the
-    sequential path accumulates.  The day never materializes
-    per-record objects — the kernel's packed rows are reshaped
-    straight into quads, straight off the shard mapping when the
-    source is store-backed.  Kernel rows are key-ascending and keys
-    order exactly like ``(network, length, ...)`` tuples, so the
-    quads come out sorted without a sort.
+    The payload mirrors the v2 result layout: the day's packed
+    ``(network, length, delegator, delegatee)`` column plus the
+    bookkeeping counters the sequential path accumulates.  The day
+    never materializes per-record objects — the kernel's packed rows
+    are reshaped straight into the column
+    (:func:`~repro.delegation.inference.rows_column`), straight off the
+    shard mapping when the source is store-backed.
     """
     scratch = InferenceResult(
         daily=DailyDelegations(), config=inference.config
@@ -677,10 +637,7 @@ def _compute_day_payload(
     )
     return {
         "date": date,
-        "delegations": [
-            (key >> 6, key & 0x3F, delegator, delegatee)
-            for key, delegator, delegatee, _cover in rows
-        ],
+        "delegations": rows_column(rows),
         "counters": {
             "pairs_seen": scratch.pairs_seen,
             "pairs_dropped_visibility": scratch.pairs_dropped_visibility,
@@ -790,11 +747,10 @@ def _worker_run_chunk(
     """Execute steps (i)–(iv) for one chunk of days.
 
     Each task is one whole day.  Every finished day is encoded to its
-    v2 bytes at once, so a chunk holds compact bytes rather than quad
-    tuples and worker memory stays flat however many days a chunk
-    spans.  Returns the :func:`_ship_chunk` descriptor plus the
-    chunk's metrics registry (``None`` when the run is
-    uninstrumented).
+    v2 bytes at once, so a chunk holds one copy of each day and worker
+    memory stays flat however many days a chunk spans.  Returns the
+    :func:`_ship_chunk` descriptor plus the chunk's metrics registry
+    (``None`` when the run is uninstrumented).
     """
     source = _worker_source()
     inference = _WORKER_STATE.get("inference")
@@ -824,8 +780,8 @@ def _worker_run_chunk(
                     source, inference, date, registry,
                 )
         blob = _encode_payload(payload)
-        # Drop the quad tuples now, not when the next day rebinds the
-        # name: the next day's compute must not run on top of them.
+        # Drop the column now, not when the next day rebinds the name:
+        # the next day's compute must not run on top of it.
         del payload
         blobs.append(blob)
         entries.append((offset, len(blob)))
@@ -1058,20 +1014,7 @@ def run_inference(
                 )
 
     # Phase 3: fan-in, in date order, then extension (v) exactly once.
-    # Consecutive days share almost all delegations, so prefixes are
-    # interned: each distinct (network, length) is materialized once
-    # and the same IPv4Prefix object is reused across the whole window.
-    interned: Dict[int, IPv4Prefix] = {}
-
-    def _decode(quad: tuple) -> tuple:
-        network, length, delegator, delegatee = quad
-        packed = (network << 6) | length
-        prefix = interned.get(packed)
-        if prefix is None:
-            prefix = IPv4Prefix(network, length)
-            interned[packed] = prefix
-        return (prefix, delegator, delegatee)
-
+    # Each day's body is already its sorted column: one buffer copy.
     result = InferenceResult(daily=DailyDelegations(), config=config)
     delegations_total = 0
     with metrics.span("runner.fan_in"):
@@ -1088,12 +1031,10 @@ def run_inference(
                 "delegations_dropped_same_org"
             ]
             result.sanitize_stats.bogon_prefix += counters["bogon_prefix"]
-            delegations_total += len(payload["delegations"])
-            result.daily.record(
-                date, (_decode(quad) for quad in payload["delegations"])
-            )
-    # Every quad is decoded into interned objects by now — release the
-    # fan-in buffers (segments were unlinked at adoption; this frees
+            delegations_total += len(payload["delegations"]) // 4
+            result.daily.record_quads(date, payload["delegations"])
+    # Every day is copied into its column by now — release the fan-in
+    # buffers (segments were unlinked at adoption; this frees
     # the memory) and surface the transport split.  A run that should
     # be zero-copy but shows ``fanin.pickled_kb`` (or a climbing
     # ``pairtable.materialized``) regressed to the copying transport —

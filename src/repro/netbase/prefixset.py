@@ -61,13 +61,27 @@ def address_count(prefixes: Iterable[IPv4Prefix]) -> int:
     ...                IPv4Prefix.parse("10.0.1.0/24")])
     512
     """
+    keys = sorted({(p.network << 6) | p.length for p in prefixes})
+    return covered_addresses(
+        [key >> 6 for key in keys], [key & 0x3F for key in keys]
+    )
+
+
+def covered_addresses(
+    networks: Iterable[int], lengths: Iterable[int]
+) -> int:
+    """:func:`address_count` of CIDR blocks already in packed-key order.
+
+    ``networks`` and ``lengths`` are parallel; repeats are allowed.
+    The packed delegation day columns are in this order by
+    construction.
+    """
     host_bits = _HOST_BITS
     total = 0
     end = -1
-    for key in sorted({(p.network << 6) | p.length for p in prefixes}):
-        network = key >> 6
+    for network, length in zip(networks, lengths):
         if network > end:
-            end = network | host_bits[key & 0x3F]
+            end = network | host_bits[length]
             total += end - network + 1
     return total
 

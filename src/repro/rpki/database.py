@@ -104,12 +104,22 @@ class RoaDatabase:
         """Map each delegation key to the snapshot dates it appears on.
 
         This is the input of the appendix's consistency-rule fail-rate
-        evaluation (Fig. 5).
+        evaluation (Fig. 5).  ROA sets repeat from day to day, so the
+        extraction runs once per distinct snapshot (a ``frozenset``,
+        whose hash is cached) and every repeat is a lookup.
         """
+        extracted: Dict[FrozenSet[Roa], List[tuple]] = {}
         timeline: Dict[tuple, List[datetime.date]] = {}
         for date in self.dates():
-            for delegation in self.delegations_on(date):
-                timeline.setdefault(delegation.key(), []).append(date)
+            roas = self._snapshots[date]
+            keys = extracted.get(roas)
+            if keys is None:
+                keys = extracted[roas] = [
+                    delegation.key()
+                    for delegation in self.delegations_on(date)
+                ]
+            for key in keys:
+                timeline.setdefault(key, []).append(date)
         return timeline
 
     # -- file I/O -------------------------------------------------------------

@@ -23,7 +23,7 @@ import datetime
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.delegation.model import DailyDelegations
+from repro.delegation.model import DailyDelegations, iter_quads
 from repro.netbase.lpm import SortedPrefixMap
 from repro.netbase.prefix import IPv4Prefix, parse_address
 from repro.obs.metrics import NULL, MetricsRegistry
@@ -63,23 +63,26 @@ class DelegationIndex:
         self.snapshot_date: Optional[datetime.date] = (
             dates[-1] if dates else None
         )
-        by_prefix: Dict[IPv4Prefix, List[Tuple[int, int]]] = {}
+        # Columns are in key order, so each prefix's (S, T) pairs come
+        # out sorted and the prefixes arrive in the map's order.
+        by_prefix: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         if self.snapshot_date is not None:
-            for prefix, delegator, delegatee in sorted(
-                daily.on(self.snapshot_date)
+            for network, length, delegator, delegatee in iter_quads(
+                daily.column(self.snapshot_date)
             ):
-                by_prefix.setdefault(prefix, []).append(
+                by_prefix.setdefault((network, length), []).append(
                     (delegator, delegatee)
                 )
         self._map: SortedPrefixMap = SortedPrefixMap(
-            (prefix, tuple(pairs)) for prefix, pairs in by_prefix.items()
+            (IPv4Prefix(network, length), tuple(pairs))
+            for (network, length), pairs in by_prefix.items()
         )
         self._by_asn: Dict[int, List[dict]] = {}
-        for (prefix, delegator, delegatee), seen in sorted(
-            daily.timeline().items()
+        for (network, length, delegator, delegatee), seen in sorted(
+            daily.sightings().items()
         ):
             record = {
-                "prefix": str(prefix),
+                "prefix": str(IPv4Prefix(network, length)),
                 "delegatorAsn": delegator,
                 "delegateeAsn": delegatee,
                 "firstSeen": seen[0].isoformat(),

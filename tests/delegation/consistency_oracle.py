@@ -5,7 +5,8 @@ a test oracle.
 appendix's rule family on sorted grid positions.  This module keeps the
 implementations it replaced, unchanged: ``evaluate_rule`` walks each
 delegation's dates and re-slices the observation grid per premise, and
-``fill_gaps`` indexes rival delegatees' observation days as sets.  The
+``fill_gaps`` indexes rival delegatees' observation days as sets, on
+the set-based store of :mod:`tests.delegation.daily_oracle`.  The
 differential suites in ``test_consistency_properties.py`` and
 ``test_consistency_invariants.py`` compare the library against them.
 """
@@ -14,8 +15,9 @@ import datetime
 from typing import Dict, Mapping, Sequence, Set, Tuple
 
 from repro.delegation.consistency import ConsistencyRule
-from repro.delegation.model import DailyDelegations, DelegationKey
+from repro.delegation.model import DelegationKey
 from repro.obs.metrics import NULL, MetricsRegistry
+from tests.delegation.daily_oracle import DailyDelegations, from_daily
 
 
 def evaluate_rule(
@@ -90,7 +92,7 @@ def _conflict_days_by_prefix(
 
 
 def fill_gaps(
-    daily: DailyDelegations,
+    daily,
     rule: ConsistencyRule,
     observation_dates: Sequence[datetime.date],
     *,
@@ -106,7 +108,8 @@ def fill_gaps(
 
     Only days present in ``observation_dates`` are filled: the rule
     reconstructs what measurement gaps hid, it does not invent data for
-    days nobody measured.
+    days nobody measured.  ``daily`` is any store that answers
+    ``dates``/``on``; the walk runs on the set-based oracle's copy.
 
     ``metrics`` receives ``pipeline.consistency.fills`` (key-days
     added) and ``pipeline.consistency.conflicts`` (gaps left open
@@ -115,6 +118,7 @@ def fill_gaps(
     """
     sorted_dates = sorted(observation_dates)
     date_index = {date: i for i, date in enumerate(sorted_dates)}
+    daily = from_daily(daily)
     timelines = daily.timeline()
     conflicts = _conflict_days_by_prefix(timelines)
     filled = daily.copy()

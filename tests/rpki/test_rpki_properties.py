@@ -121,6 +121,29 @@ class TestDelegationsMatchTrieWalk:
                 expected.setdefault(delegation.key(), []).append(date)
         assert database.delegation_timeline() == expected
 
+    @settings(max_examples=50)
+    @given(
+        st.lists(snapshots(), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2), min_size=1, max_size=12),
+        st.booleans(),
+    )
+    def test_timeline_over_repeated_snapshots(self, distinct, order, copy):
+        # Snapshots recur and interleave (a, b, a, a, c, b, ...); with
+        # ``copy`` a repeat is an equal set, not the same object.
+        database = RoaDatabase()
+        for offset, pick in enumerate(order):
+            snapshot = distinct[pick % len(distinct)]
+            if copy:
+                snapshot = frozenset(list(snapshot))
+            database.add_snapshot(
+                D(2020, 1, 1) + datetime.timedelta(days=offset), snapshot
+            )
+        walked = {}
+        for date in database.dates():
+            for delegation in database.delegations_on(date):
+                walked.setdefault(delegation.key(), []).append(date)
+        assert database.delegation_timeline() == walked
+
 
 class TestCornerCases:
     def _extract(self, rows):

@@ -1,11 +1,14 @@
-"""Cross-commit anchor for the day generator.
+"""Cross-commit anchors for the day generator and the day store.
 
-The digests below were recorded with the object-based generator (one
-``Announcement`` per route, aggregated by a per-prefix slot loop).  The
-packed generator must reproduce them byte for byte.  The differential
-suites compare the runner against ``infer_range``, but both read days
-through the same generator, so a bug they share would not show there;
-these fixed digests would.
+The figure and pair-table digests below were recorded with the
+object-based generator (one ``Announcement`` per route, aggregated by a
+per-prefix slot loop); the daily JSONL digests with the set-based
+``DailyDelegations`` (one set of ``(IPv4Prefix, S, T)`` keys per day).
+The packed generator and the columnar store must reproduce them byte
+for byte.  The differential suites compare the runner against
+``infer_range``, but both read days through the same generator and
+build days with the same column code, so a bug they share would not
+show there; these fixed digests would.
 """
 
 import hashlib
@@ -14,7 +17,14 @@ import pytest
 
 from repro.bgp.stream import date_range
 from repro.cli import main
-from repro.simulation import World, paper_scenario
+from repro.delegation import (
+    DelegationInference,
+    InferenceConfig,
+    WorldStreamFactory,
+    run_inference,
+)
+from repro.delegation.io import write_daily_delegations
+from repro.simulation import World, paper_scenario, small_scenario
 
 #: sha256 of each figure CSV from
 #: ``repro --scale small --seed 42 figures DIR --jobs 1``.
@@ -58,6 +68,20 @@ PAPER_PAIR_TABLES = {
 #: Days between sampled paper-scale days.
 PAPER_STEP_DAYS = 30
 
+#: sha256 of the ``write_daily_delegations`` JSONL of the small seed-42
+#: world, per configuration; ``run_inference(jobs=2)`` and
+#: ``infer_range`` both write exactly these bytes.
+DAILY_SMALL_SEED_42 = {
+    "extended": (
+        "5efe96e92928d75ef71df2f49658348e"
+        "382cc456023887a049aa46725dc266e6"
+    ),
+    "baseline": (
+        "5679345545a4a0fba62d6b9145aa2879"
+        "213701f7f1f522d6eaad22126ac1fc42"
+    ),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -85,3 +109,27 @@ def test_paper_pair_tables_are_unchanged(seed):
     for date in date_range(config.bgp_start, config.bgp_end, PAPER_STEP_DAYS):
         digest.update(stream.pair_table_on(date).to_bytes())
     assert digest.hexdigest() == PAPER_PAIR_TABLES[seed]
+
+
+@pytest.mark.parametrize("name", sorted(DAILY_SMALL_SEED_42))
+def test_small_daily_delegations_are_unchanged(tmp_path, name):
+    scenario = small_scenario(seed=42)
+    world = World(scenario)
+    config = getattr(InferenceConfig, name)()
+    window = (scenario.bgp_start, scenario.bgp_end)
+    results = {
+        "runner": run_inference(
+            WorldStreamFactory(scenario), *window, config,
+            as2org=world.as2org(), jobs=2,
+        ),
+        "infer_range": DelegationInference(
+            config, world.as2org()
+        ).infer_range(world.stream(), *window),
+    }
+    digests = {}
+    for label, result in results.items():
+        path = tmp_path / f"{label}.jsonl"
+        write_daily_delegations(result.daily, path)
+        digests[label] = _sha256(path.read_bytes())
+    expected = DAILY_SMALL_SEED_42[name]
+    assert digests == {"runner": expected, "infer_range": expected}

@@ -13,6 +13,7 @@ import datetime
 import os
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -152,7 +153,7 @@ class TestFailureMatrix:
         # magic collision the RPSHARD3 magic + schema check exists for).
         entry = _encode_payload({
             "date": DAY,
-            "delegations": [(0x0A000000, 24, 65001, 65002)],
+            "delegations": array("I", [0x0A000000, 24, 65001, 65002]),
             "counters": {
                 "pairs_seen": 10,
                 "pairs_dropped_visibility": 1,
