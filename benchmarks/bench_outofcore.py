@@ -11,9 +11,12 @@ and asserts
 
 - every sweep produces byte-identical daily delegations,
 - each transport carried every result (``fanin.shm_kb`` /
-  ``fanin.pickled_kb``), and the shared-memory sweep's heap peak
-  (tracemalloc: segment views are mapped, not allocated) comes in
-  strictly below the pickled fallback's,
+  ``fanin.pickled_kb``), and no fan-in buffer outlives its chunk: when
+  rule (v) starts, the parent maps no fan-in segment, every
+  parent-side segment close has succeeded, and the pickled sweep's
+  traced heap exceeds the shared-memory sweep's by less than half of
+  what it pickled (the cold store sweep runs first, so neither pays
+  the first run's one-off allocations),
 - the warm store serves every day from its result shard (neither the
   stream nor the kernel runs),
 - per-day memory is *flat*: on sweeps that compute days off warm
@@ -44,6 +47,7 @@ from repro.delegation import (
 from repro.delegation import runner
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation import World, internet_scenario
+from tests.delegation.fanin_probe import FanInProbe
 
 #: Sample the 882-day window every N days: multi-year coverage at
 #: smoke-test cost (10 sampled days).
@@ -97,6 +101,10 @@ def test_outofcore_internet_sweep(tmp_path, monkeypatch):
     store_dir = tmp_path / "store"
     segments_before = _segments()
 
+    # What the parent still holds when rule (v) starts, per sweep, and
+    # every parent-side segment close.
+    probe = FanInProbe(monkeypatch)
+
     def sweep(*, store=False, until=None, pickled=False):
         metrics = MetricsRegistry()
         metrics.enable_memory_profile()
@@ -124,9 +132,11 @@ def test_outofcore_internet_sweep(tmp_path, monkeypatch):
         shutil.rmtree(store_dir / "results")
         return sweep(store=True, until=until)
 
-    in_ram, in_ram_metrics = sweep()
-    pickled, pickled_metrics = sweep(pickled=True)
     cold, cold_metrics = sweep(store=True)
+    in_ram, in_ram_metrics = sweep()
+    in_ram_at_rule_v = probe.at_rule_v
+    pickled, pickled_metrics = sweep(pickled=True)
+    pickled_at_rule_v = probe.at_rule_v
     warm, warm_metrics = sweep(store=True)
     inputs, inputs_metrics = input_shard_sweep()
 
@@ -137,17 +147,22 @@ def test_outofcore_internet_sweep(tmp_path, monkeypatch):
     assert _daily_bytes(warm, tmp_path / "warm.jsonl") == expected
     assert _daily_bytes(inputs, tmp_path / "inputs.jsonl") == expected
 
-    # Each transport carried every result back, and shared memory
-    # kept the heap peak below the pickled fallback's.
+    # Each transport carried every result back, and no fan-in buffer
+    # outlived its chunk: nothing mapped or held at rule (v), and no
+    # segment close failed.
     assert in_ram_metrics.gauge("fanin.shm_kb") > 0
     assert in_ram_metrics.gauge("fanin.pickled_kb") == 0
     assert pickled_metrics.gauge("fanin.pickled_kb") > 0
     assert pickled_metrics.gauge("fanin.shm_kb") == 0
-    shm_peak = max(_profile_peaks(in_ram_metrics).values())
-    pickle_peak = max(_profile_peaks(pickled_metrics).values())
-    assert shm_peak < pickle_peak, (
-        f"shared-memory peak {shm_peak} kB not below the pickled "
-        f"fallback's {pickle_peak} kB"
+    assert in_ram_at_rule_v["maps"] == []
+    assert pickled_at_rule_v["maps"] == []
+    assert "ok" in probe.closes
+    assert probe.failed_closes() == []
+    pickled_kb = pickled_metrics.gauge("fanin.pickled_kb")
+    extra_kb = pickled_at_rule_v["heap_kb"] - in_ram_at_rule_v["heap_kb"]
+    assert extra_kb < pickled_kb / 2, (
+        f"the pickled sweep holds {extra_kb:.0f} kB more heap at rule "
+        f"(v) than the shared-memory sweep ({pickled_kb} kB pickled)"
     )
 
     # The warm store served every day's result shard: no stream build

@@ -12,29 +12,29 @@ so this module provides:
   a picklable *stream factory*) and reuses it for every day it runs,
   and the as2org snapshots are shipped to each worker once at pool start-up
   instead of being re-loaded per day;
-- **zero-copy result fan-in** — workers pack each chunk's per-day
+- **zero-copy streaming fan-in** — workers pack each chunk's per-day
   payloads into one shared-memory segment in the compact v2 ``RPD2``
   layout (a fixed struct header with the date and the five attrition
   counters, then flat little-endian ``(network, length, delegator,
-  delegatee)`` quads, 16 bytes per delegation) and the parent copies
-  each day's body into that day's
-  :class:`~repro.delegation.model.DailyDelegations` column in one
-  buffer copy; a chunk that cannot get a segment comes back pickled
-  instead;
+  delegatee)`` quads, 16 bytes per delegation), or pickle them when
+  they cannot get a segment.  The parent folds each day into one
+  :class:`~repro.delegation.inference.InferenceResult` as its bytes
+  arrive — one buffer copy into that day's
+  :class:`~repro.delegation.model.DailyDelegations` column — and
+  closes each segment or result-shard map before it takes the next,
+  so no fan-in buffer outlives its chunk.  Extension (v) runs once,
+  after the last day, so the output is byte-identical to the
+  sequential
+  :meth:`~repro.delegation.inference.DelegationInference.infer_range`;
 - **persistent per-day results** — with a
   :class:`~repro.store.shard.ShardStore` attached, every computed
   day's RPD2 bytes are written through to the store's result-shard
-  namespace under a content address over the
+  namespace as the day is folded, under a content address over the
   :class:`~repro.delegation.inference.InferenceConfig` fields that
   affect steps (i)–(iv) plus fingerprints of the input stream and the
   as2org dataset.  Re-running with an unchanged configuration maps
   every day straight back; sweeping the consistency rule (v) never
-  invalidates a result shard, because (v) runs after the fan-in;
-- **fan-in** in the parent: per-day results are merged in date order
-  into one :class:`~repro.delegation.inference.InferenceResult`, and
-  extension (v) is applied exactly once, so the output is
-  byte-identical to the sequential
-  :meth:`~repro.delegation.inference.DelegationInference.infer_range`.
+  invalidates a result shard, because (v) runs after the fan-in.
 
 Worker failures (including hard crashes that break the pool) surface
 as :class:`~repro.errors.ReproError` instead of a hang or a raw
@@ -43,6 +43,7 @@ as :class:`~repro.errors.ReproError` instead of a hang or a raw
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import datetime
 import hashlib
@@ -56,7 +57,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.asorg.as2org import As2OrgDataset
 from repro.bgp.rib import PairTable
@@ -241,19 +242,6 @@ def _encode_payload(payload: dict) -> bytes:
     return header + memoryview(words).tobytes()
 
 
-def _payload_to_bytes(payload: dict) -> bytes:
-    """A payload's exact v2 bytes, reusing the raw view when present.
-
-    Payloads decoded zero-copy out of a shared-memory segment or a
-    result shard carry their backing bytes under ``"raw"``; writing
-    them to a result shard is then a buffer copy, not a re-encode.
-    """
-    raw = payload.get("raw")
-    if raw is not None:
-        return bytes(raw)
-    return _encode_payload(payload)
-
-
 def _decode_payload(data) -> Optional[dict]:
     """Parse one v2 payload; ``None`` for anything torn or foreign.
 
@@ -261,9 +249,7 @@ def _decode_payload(data) -> Optional[dict]:
     result shard.  The delegations come back as the flat native-order
     u32 column: on little-endian hosts a zero-copy ``"I"`` cast of the
     body, on big-endian hosts a byte-swapped ``array("I")`` copy (a
-    cast view would transpose every word).  The payload keeps the
-    buffer under ``"raw"`` so writing it to a result shard is a plain
-    buffer copy.
+    cast view would transpose every word).
     """
     view = data if isinstance(data, memoryview) else memoryview(data)
     if len(view) < _CACHE_HEADER.size:
@@ -290,8 +276,39 @@ def _decode_payload(data) -> Optional[dict]:
         "date": date,
         "delegations": delegations,
         "counters": dict(zip(_COUNTER_FIELDS, fields[5:10])),
-        "raw": view,
     }
+
+
+def _fold_day(result: InferenceResult, payload: dict) -> None:
+    """Add one day's column and attrition counters to ``result``."""
+    counters = payload["counters"]
+    result.pairs_seen += counters["pairs_seen"]
+    result.pairs_dropped_visibility += counters["pairs_dropped_visibility"]
+    result.pairs_dropped_origin += counters["pairs_dropped_origin"]
+    result.delegations_dropped_same_org += counters[
+        "delegations_dropped_same_org"
+    ]
+    result.sanitize_stats.bogon_prefix += counters["bogon_prefix"]
+    result.daily.record_quads(payload["date"], payload["delegations"])
+
+
+def _fold_encoded(result: InferenceResult, data) -> Optional[datetime.date]:
+    """Fold one day's v2 bytes into ``result``; the day's date, or
+    ``None`` (nothing folded) when they are torn or foreign.
+
+    The decoded view into ``data`` is released before this returns, so
+    the caller can close the segment or map behind ``data`` at once.
+    """
+    payload = _decode_payload(data)
+    if payload is None:
+        return None
+    words = payload["delegations"]
+    try:
+        _fold_day(result, payload)
+    finally:
+        if isinstance(words, memoryview):
+            words.release()
+    return payload["date"]
 
 
 # -- zero-copy result fan-in ----------------------------------------------
@@ -302,8 +319,11 @@ def _decode_payload(data) -> Optional[dict]:
 # returns only ``("shm", name, size, entries)`` — a few dozen bytes
 # per chunk.  The parent attaches the segment, **unlinks it
 # immediately** (the mapping survives; the name cannot leak past a
-# crash), and decodes each entry as a cast memoryview straight into the
-# segment, which the fan-in copies into the day's column.
+# crash), then folds each entry straight out of the mapping — decode,
+# copy into the day's column, write through to the store if one is
+# attached — releases each entry's view, and closes the segment before
+# it takes the next chunk.  At most one chunk is mapped at a time, and
+# none by the time rule (v) runs.
 #
 # Segment names carry a per-run prefix (parent pid + run counter), so
 # the parent can sweep any segment a dying worker left behind: names
@@ -359,8 +379,8 @@ def _ship_chunk(blobs: List[bytes], entries: List[tuple]) -> tuple:
     """Pack a chunk's encoded days into one segment for the parent.
 
     Returns ``("shm", name, size, entries)`` where each entry is
-    ``(offset, length)`` — everything the parent needs to rebuild
-    zero-copy payload views in :func:`_receive_chunk`.
+    ``(offset, length)`` — everything the parent needs to fold each day
+    zero-copy in :func:`_fold_chunk`.
     Without a segment the same bytes travel pickled instead:
     ``("bytes", data, entries)``.
     """
@@ -413,135 +433,76 @@ def _sweep_segments(prefix: str) -> int:
     return removed
 
 
-class _FanInReceiver:
-    """Parent-side owner of every buffer a run's fan-in adopts.
+def _fold_chunk(
+    shipped: tuple,
+    result: InferenceResult,
+    store: Optional[ShardStore],
+    result_key: Callable[[datetime.date], str],
+) -> int:
+    """Fold one worker chunk's days into ``result``; its byte size.
 
-    Adopting a segment attaches and *immediately unlinks* it — the
-    mapping stays valid for this process, while the name disappears
-    from ``/dev/shm`` before anything else can go wrong, so no exit
-    path can leak a segment that reached the parent.  Views handed
-    out for payloads are tracked and released (in reverse order)
-    before their backing segments and maps are closed; stragglers —
-    e.g. a caller still holding a decoded table — merely defer the
-    memory to garbage collection, never the name.
+    A ``("shm", ...)`` chunk's segment is attached and *immediately
+    unlinked*: the mapping stays valid for this process, while the
+    name is gone before anything else can go wrong.  ``("bytes", ...)``
+    chunks carry the same bytes pickled.  Each day decodes zero-copy,
+    is folded and, given a store, written through to its result shard
+    under ``result_key(date)``; every view is released before the
+    segment is closed.
     """
-
-    def __init__(self) -> None:
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._maps: List = []
-        self._views: List[memoryview] = []
-        self.shm_bytes = 0
-        self.pickled_bytes = 0
-
-    def adopt_segment(self, name: str, size: int) -> memoryview:
+    segment = None
+    if shipped[0] == "shm":
+        _kind, name, size, entries = shipped
         segment = shared_memory.SharedMemory(name=name)
         try:
             segment.unlink()
         except FileNotFoundError:
             pass
-        self._segments.append(segment)
-        self.shm_bytes += size
-        return segment.buf
-
-    def adopt_map(self, mapped) -> None:
-        self._maps.append(mapped)
-
-    def view(self, buffer, offset: int, length: int) -> memoryview:
-        view = memoryview(buffer)[offset:offset + length]
-        self._views.append(view)
-        return view
-
-    def track_view(self, view: memoryview) -> memoryview:
-        self._views.append(view)
-        return view
-
-    def close(self) -> None:
-        for view in reversed(self._views):
-            try:
-                view.release()
-            except BufferError:
-                pass  # a derived cast is still alive; freed at GC
-        self._views.clear()
-        for segment in self._segments:
-            try:
-                segment.close()
-            except BufferError:
-                # A caller still holds a view into this segment; the
-                # mapping is freed once every view dies (the name is
-                # already unlinked).  Detach the handles so the
-                # object's __del__ does not retry the close and raise
-                # the same BufferError unraisably mid-GC — the views
-                # keep the mmap alive, and its dealloc unmaps quietly.
-                segment._buf = None
-                segment._mmap = None
-        self._segments.clear()
-        for mapped in self._maps:
-            try:
-                mapped.close()
-            except (BufferError, ValueError):
-                pass
-        self._maps.clear()
-
-
-def _receive_chunk(shipped: tuple, receiver: _FanInReceiver) -> List[dict]:
-    """Turn one worker chunk's return value into payload dicts.
-
-    ``("shm", ...)`` chunks are adopted (attached and unlinked at
-    once); ``("bytes", ...)`` chunks — from a worker that could not
-    get a segment — carry the same bytes pickled and count on the
-    receiver's pickled-byte tally.  Either way every day decodes
-    zero-copy out of one buffer.
-    """
-    if shipped[0] == "shm":
-        _kind, name, size, entries = shipped
-        buf = receiver.adopt_segment(name, size)
-        source = f"segment {name}"
+        buf, source = segment.buf, f"segment {name}"
     else:
         _kind, buf, entries = shipped
-        receiver.pickled_bytes += len(buf)
-        source = "a pickled chunk"
-    payloads = []
-    for offset, length in entries:
-        view = receiver.view(buf, offset, length)
-        payload = _decode_payload(view)
-        if payload is None:
-            raise ReproError(
-                "result fan-in: malformed payload entry at offset "
-                f"{offset} of {source}"
-            )
-        payloads.append(payload)
-    return payloads
+        size, source = len(buf), "a pickled chunk"
+    try:
+        for offset, length in entries:
+            with memoryview(buf)[offset:offset + length] as view:
+                date = _fold_encoded(result, view)
+                if date is None:
+                    raise ReproError(
+                        "result fan-in: malformed payload entry at offset "
+                        f"{offset} of {source}"
+                    )
+                if store is not None:
+                    store.write_result(result_key(date), view)
+    finally:
+        if segment is not None:
+            segment.close()
+    return size
 
 
-def _result_shard_read(
-    store: ShardStore, key: str, receiver: _FanInReceiver
-) -> Optional[dict]:
-    """Probe the store's result-shard namespace for one day's payload.
+def _fold_result_shard(
+    store: ShardStore, key: str, result: InferenceResult
+) -> bool:
+    """Fold one day's result shard into ``result``; ``False`` on a miss.
 
-    A hit maps the shard read-only and decodes it zero-copy — the
-    warm path for ``--store`` sweeps skips the input shard, the stream
-    and the kernel.  Malformed bytes degrade to a miss (counted),
-    exactly like the input-shard namespace.
+    A hit maps the shard read-only, folds it zero-copy and unmaps it —
+    the warm path for ``--store`` sweeps skips the input shard, the
+    stream and the kernel.  Malformed bytes degrade to a miss
+    (counted), exactly like the input-shard namespace.
     """
     mapped = store.load_result(key)
     if mapped is None:
-        return None
-    view = memoryview(mapped)
-    payload = _decode_payload(view)
-    if payload is None:
-        view.release()
-        mapped.close()
+        return False
+    with mapped, memoryview(mapped) as view:
+        date = _fold_encoded(result, view)
+    if date is None:
         logger.warning(
             "discarding malformed result shard %s",
             store.result_path(key),
         )
         store.metrics.inc("store.malformed")
         store.metrics.inc("store.result_misses")
-        return None
-    receiver.adopt_map(mapped)
-    receiver.track_view(view)
+        return False
     store.metrics.inc("store.result_hits")
-    return payload
+    return True
 
 
 # -- per-day computation (shared by workers and the in-process path) ------
@@ -817,21 +778,23 @@ def _compute_parallel(
     jobs: int,
     metrics: MetricsRegistry,
     store: Optional[ShardStore],
-    receiver: _FanInReceiver,
-) -> List[dict]:
+    result: InferenceResult,
+    result_key: Callable[[datetime.date], str],
+) -> Tuple[int, int]:
     """Fan the missing days out over a process pool.
 
-    Chunks come back in submission order through ``receiver``, each
-    together with its worker's metrics registry (``None`` when the
-    run is uninstrumented), so per-day timings and stream counters
-    survive the fan-in.  Workers mirror the parent's capabilities (a
-    tracing parent gets per-lane worker traces, a profiling parent
-    gets worker-side peak gauges); a store is forwarded as
-    ``(directory, fingerprint)`` strings, so workers map shards
-    themselves instead of the parent pickling inputs to them.  Any
-    worker failure surfaces as :class:`ReproError`, and every exit
-    path sweeps the run's shared-memory segments after the pool shuts
-    down.
+    Chunks come back in submission order, each folded into ``result``
+    by :func:`_fold_chunk` as it arrives and merged with its worker's
+    metrics registry (``None`` when the run is uninstrumented), so
+    per-day timings and stream counters survive the fan-in.  Returns
+    the bytes shipped through shared memory and pickled.  Workers
+    mirror the parent's capabilities (a tracing parent gets per-lane
+    worker traces, a profiling parent gets worker-side peak gauges); a
+    store is forwarded as ``(directory, fingerprint)`` strings, so
+    workers map shards themselves instead of the parent pickling
+    inputs to them.  Any worker failure surfaces as
+    :class:`ReproError`, and every exit path sweeps the run's
+    shared-memory segments after the pool shuts down.
     """
     chunks = _chunk(missing, _chunk_size(len(missing), jobs))
     prefix = _shm_run_prefix()
@@ -852,14 +815,17 @@ def _compute_parallel(
             prefix,
         ),
     )
-    payloads: List[dict] = []
+    shipped_bytes = {"shm": 0, "bytes": 0}
     try:
         # The worker is looked up here, at submit time, so a wrapper
         # installed on the module attribute (tracing) runs in the pool.
-        futures = [
+        futures = collections.deque(
             executor.submit(_worker_run_chunk, chunk) for chunk in chunks
-        ]
-        for future in futures:
+        )
+        while futures:
+            # Popped, so no finished future keeps a pickled chunk's
+            # bytes alive until the loop ends.
+            future = futures.popleft()
             try:
                 shipped, worker_registry = future.result()
             except ReproError:
@@ -869,7 +835,9 @@ def _compute_parallel(
                     "delegation-inference worker failed: "
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
-            payloads.extend(_receive_chunk(shipped, receiver))
+            shipped_bytes[shipped[0]] += _fold_chunk(
+                shipped, result, store, result_key
+            )
             if worker_registry is not None:
                 metrics.merge(worker_registry)
                 metrics.inc("runner.worker_registries_merged")
@@ -878,7 +846,7 @@ def _compute_parallel(
         swept = _sweep_segments(prefix)
         if swept:
             metrics.inc("fanin.segments_swept", swept)
-    return payloads
+    return shipped_bytes["shm"], shipped_bytes["bytes"]
 
 
 def run_inference(
@@ -910,7 +878,8 @@ def run_inference(
 
     ``metrics`` (when not the no-op default) receives nested stage
     spans (``runner.cache_probe`` / ``runner.compute`` /
-    ``runner.fan_in`` / ``runner.consistency``), result-shard hit/miss
+    ``runner.consistency``; each day is folded inside the span that
+    produced it), result-shard hit/miss
     counters, per-day compute timings (fanned back in from the worker
     registries), and the per-filter attrition counters shared with the
     sequential path.
@@ -962,33 +931,33 @@ def run_inference(
     metrics.inc("runner.days_total", len(dates))
     metrics.set_gauge("runner.jobs", resolved_jobs)
     materialized_before = PairTable.materialize_count
-    receiver = _FanInReceiver()
+    # Every day is folded into ``result`` the moment its bytes arrive,
+    # in whatever order that is: ``DailyDelegations.dates()`` sorts,
+    # so the order cannot reach any output.
+    result = InferenceResult(daily=DailyDelegations(), config=config)
+    result.observation_dates.extend(dates)
 
-    # Phase 1: resolve result-shard hits.
-    payload_by_date: Dict[datetime.date, dict] = {}
+    # Phase 1: fold result-shard hits.
     missing: List[datetime.date] = []
     if store is not None:
         with metrics.span("runner.cache_probe"):
             for date in dates:
-                payload = _result_shard_read(
-                    store, result_key(date), receiver
-                )
-                if payload is None:
+                if not _fold_result_shard(store, result_key(date), result):
                     missing.append(date)
-                else:
-                    payload_by_date[date] = payload
         metrics.inc("runner.cache.hits", len(dates) - len(missing))
         metrics.inc("runner.cache.misses", len(missing))
     else:
         missing = list(dates)
 
-    # Phase 2: compute the misses — fanned out or in-process.
-    computed: List[dict] = []
+    # Phase 2: compute and fold the misses — fanned out or in-process.
+    # Computed days are written through to the store as they are
+    # folded: worker days as a buffer copy of their segment bytes.
+    shm_bytes = pickled_bytes = 0
     with metrics.span("runner.compute"):
         if resolved_jobs > 1 and len(missing) > 1:
-            computed = _compute_parallel(
+            shm_bytes, pickled_bytes = _compute_parallel(
                 stream_factory, config, as2org, missing,
-                resolved_jobs, metrics, store, receiver,
+                resolved_jobs, metrics, store, result, result_key,
             )
         elif missing:
             # Single-job (or single-day) runs stay entirely in this
@@ -999,55 +968,27 @@ def run_inference(
             inference = DelegationInference(config, as2org)
             for date in missing:
                 with metrics.span("day"):
-                    computed.append(_compute_day_payload(
+                    payload = _compute_day_payload(
                         source, inference, date, metrics,
-                    ))
-    with metrics.span("runner.cache_write"):
-        for payload in computed:
-            date = payload["date"]
-            payload_by_date[date] = payload
-            if store is not None:
-                # Zero-copy payloads are a buffer copy here, never a
-                # quad walk.
-                store.write_result(
-                    result_key(date), _payload_to_bytes(payload)
-                )
-
-    # Phase 3: fan-in, in date order, then extension (v) exactly once.
-    # Each day's body is already its sorted column: one buffer copy.
-    result = InferenceResult(daily=DailyDelegations(), config=config)
-    delegations_total = 0
-    with metrics.span("runner.fan_in"):
-        for date in dates:
-            payload = payload_by_date[date]
-            result.observation_dates.append(date)
-            counters = payload["counters"]
-            result.pairs_seen += counters["pairs_seen"]
-            result.pairs_dropped_visibility += counters[
-                "pairs_dropped_visibility"
-            ]
-            result.pairs_dropped_origin += counters["pairs_dropped_origin"]
-            result.delegations_dropped_same_org += counters[
-                "delegations_dropped_same_org"
-            ]
-            result.sanitize_stats.bogon_prefix += counters["bogon_prefix"]
-            delegations_total += len(payload["delegations"]) // 4
-            result.daily.record_quads(date, payload["delegations"])
-    # Every day is copied into its column by now — release the fan-in
-    # buffers (segments were unlinked at adoption; this frees
-    # the memory) and surface the transport split.  A run that should
-    # be zero-copy but shows ``fanin.pickled_kb`` (or a climbing
+                    )
+                if store is not None:
+                    store.write_result(
+                        result_key(date), _encode_payload(payload)
+                    )
+                _fold_day(result, payload)
+    # Surface the transport split.  A run that should be zero-copy but
+    # shows ``fanin.pickled_kb`` (or a climbing
     # ``pairtable.materialized``) regressed to the copying transport —
     # exactly what ``repro history diff`` is meant to catch.
-    metrics.set_gauge("fanin.shm_kb", receiver.shm_bytes // 1024)
-    metrics.set_gauge(
-        "fanin.pickled_kb", receiver.pickled_bytes // 1024
-    )
+    metrics.set_gauge("fanin.shm_kb", shm_bytes // 1024)
+    metrics.set_gauge("fanin.pickled_kb", pickled_bytes // 1024)
     metrics.inc(
         "pairtable.materialized",
         PairTable.materialize_count - materialized_before,
     )
-    receiver.close()
+    # Counted before rule (v) fills any gap: what the days themselves
+    # inferred.
+    delegations_total = sum(result.daily.count_on(date) for date in dates)
     if config.consistency_rule is not None:
         with metrics.span("runner.consistency"):
             result.daily = fill_gaps(

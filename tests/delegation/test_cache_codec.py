@@ -2,9 +2,11 @@
 
 Contract: exact round-trip of (date, delegation quads, attrition
 counters) through the one RPD2 decoder and through the shard store's
-result shards; everything torn, truncated, or foreign — including v1
-JSON-era entries — decodes to ``None`` (a miss), never to a wrong
-payload.
+result shards, folded the way the runner's fan-in folds them;
+everything torn, truncated, or foreign — including v1 JSON-era
+entries — decodes to ``None`` (a miss), never to a wrong payload; and
+the result shards a pool run writes straight from its segment views
+are byte-equal to the ones an in-process run encodes.
 """
 
 import datetime
@@ -15,17 +17,24 @@ from array import array
 
 import pytest
 
+from repro.delegation import (
+    DailyDelegations,
+    InferenceConfig,
+    InferenceResult,
+    WorldStreamFactory,
+    run_inference,
+)
 from repro.delegation.runner import (
     _CACHE_HEADER,
     _CACHE_MAGIC,
     _COUNTER_FIELDS,
     CACHE_SCHEMA,
-    _FanInReceiver,
     _decode_payload,
     _encode_payload,
-    _result_shard_read,
+    _fold_result_shard,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.simulation import World, small_scenario
 from repro.store import ShardStore
 
 D = datetime.date
@@ -58,12 +67,29 @@ def _store(tmp_path, metrics=None):
 
 
 def _read(store):
-    """One result-shard probe, with the buffers released afterwards."""
-    receiver = _FanInReceiver()
-    try:
-        return _plain(_result_shard_read(store, KEY, receiver))
-    finally:
-        receiver.close()
+    """One result-shard probe, folded into a fresh result as the
+    runner's fan-in folds it; the folded day as a plain payload, or
+    ``None`` on a miss (which must fold nothing)."""
+    result = InferenceResult(
+        daily=DailyDelegations(), config=InferenceConfig()
+    )
+    if not _fold_result_shard(store, KEY, result):
+        assert len(result.daily) == 0
+        assert result.pairs_seen == 0
+        return None
+    (date,) = result.daily.dates()
+    return _plain({
+        "date": date,
+        "delegations": result.daily.column(date),
+        "counters": {
+            "pairs_seen": result.pairs_seen,
+            "pairs_dropped_visibility": result.pairs_dropped_visibility,
+            "pairs_dropped_origin": result.pairs_dropped_origin,
+            "delegations_dropped_same_org":
+                result.delegations_dropped_same_org,
+            "bogon_prefix": result.sanitize_stats.bogon_prefix,
+        },
+    })
 
 
 def _payload(quads=None):
@@ -117,7 +143,6 @@ class TestRoundTrip:
         for buffer in (data, bytearray(data), memoryview(data)):
             decoded = _decode_payload(buffer)
             assert _plain(decoded) == _plain(_payload())
-            assert bytes(decoded["raw"]) == data
 
 
 class TestRejection:
@@ -225,3 +250,33 @@ class TestLayout:
         data = _encode_payload(_payload(quads=[(1, 2, 3, 4)]))
         assert struct.unpack_from("<4I", data, _CACHE_HEADER.size) == \
             (1, 2, 3, 4)
+
+
+class TestWriteThrough:
+    def test_pool_writes_the_in_process_bytes(self, tmp_path):
+        # A jobs=2 run writes each computed day's result shard straight
+        # from its view into the fan-in segment; a jobs=1 run encodes
+        # its kernel column.  The shards must be byte-equal.
+        scenario = small_scenario()
+        factory = WorldStreamFactory(scenario)
+        as2org = World(scenario).as2org()
+        start = scenario.bgp_start
+        end = start + datetime.timedelta(days=6)
+        shards = {}
+        for jobs in (1, 2):
+            metrics = MetricsRegistry()
+            store_dir = tmp_path / f"jobs{jobs}"
+            run_inference(
+                factory, start, end, InferenceConfig.extended(),
+                as2org=as2org, jobs=jobs, store_dir=store_dir,
+                metrics=metrics,
+            )
+            assert metrics.counter("store.result_writes") == 6
+            if jobs == 2:
+                assert metrics.gauge("fanin.shm_kb") > 0
+            shards[jobs] = {
+                path.relative_to(store_dir): path.read_bytes()
+                for path in (store_dir / "results").rglob("*.rpd")
+            }
+        assert len(shards[1]) == 6
+        assert shards[2] == shards[1]

@@ -14,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.delegation import runner
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation import World, small_scenario
+from tests.delegation.fanin_probe import MAPS, FanInProbe
 
 SCENARIO = small_scenario()
 START = SCENARIO.bgp_start
@@ -216,3 +218,69 @@ class TestSegmentLifecycle:
         assert "leaked shared_memory" not in proc.stderr
         assert "resource_tracker" not in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(
+    not MAPS.exists() or not SHM_DIR.is_dir(),
+    reason="needs /proc/self/maps and /dev/shm",
+)
+class TestNoBufferOutlivesItsChunk:
+    """Every fan-in buffer is gone before rule (v) runs.
+
+    Each chunk is folded the moment it arrives, so by the time
+    ``fill_gaps`` starts the parent maps no fan-in segment, every
+    parent-side segment close succeeds, and a pickled-fallback run holds
+    no more heap than a shared-memory one.  Run over the whole small
+    window, so the pickled chunks (~35 kB) stand well clear of the few
+    kB by which two identical runs' heaps differ.
+    """
+
+    def test_fan_in_buffers_released_before_rule_v(
+        self, factory, as2org, monkeypatch
+    ):
+        create_segment = runner._create_worker_segment
+
+        def sweep(*, pickled):
+            # Patched before the pool forks, like ``no_segments``.
+            monkeypatch.setattr(
+                runner, "_create_worker_segment",
+                (lambda size, prefix: None) if pickled else create_segment,
+            )
+            metrics = MetricsRegistry()
+            run_inference(
+                factory, START, SCENARIO.bgp_end,
+                InferenceConfig.extended(), as2org=as2org, jobs=2,
+                metrics=metrics,
+            )
+            return probe.at_rule_v, metrics
+
+        probe = FanInProbe(monkeypatch)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            # Warm both transports first: a first run allocates
+            # caches that the runs compared below must not pay.
+            sweep(pickled=False)
+            sweep(pickled=True)
+            probe.closes.clear()
+            shm, shm_metrics = sweep(pickled=False)
+            shm_closes = list(probe.closes)
+            pickled, pickled_metrics = sweep(pickled=True)
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
+        assert shm["maps"] == []
+        assert pickled["maps"] == []
+        chunks = shm_metrics.counter("runner.chunks")
+        assert chunks > 0 and shm_metrics.gauge("fanin.shm_kb") > 0
+        assert [outcome for outcome in shm_closes if outcome != "ok"] == []
+        assert shm_closes.count("ok") >= chunks
+        pickled_kb = pickled_metrics.gauge("fanin.pickled_kb")
+        assert pickled_kb > 0
+        extra_kb = pickled["heap_kb"] - shm["heap_kb"]
+        assert extra_kb < pickled_kb / 2, (
+            f"the pickled run holds {extra_kb:.1f} kB more heap at rule "
+            f"(v) than the shared-memory run ({pickled_kb} kB pickled)"
+        )
