@@ -8,7 +8,10 @@ The packed generator and the columnar store must reproduce them byte
 for byte.  The differential suites compare the runner against
 ``infer_range``, but both read days through the same generator and
 build days with the same column code, so a bug they share would not
-show there; these fixed digests would.
+show there; these fixed digests would.  The whois and transfer-ledger
+digests were recorded with the prefix-bucket ``FreePool`` and the
+trie-indexed ``WhoisDatabase``; the packed pool and the dict-indexed
+whois must reproduce them too.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ from repro.delegation import (
 )
 from repro.delegation.io import write_daily_delegations
 from repro.simulation import World, paper_scenario, small_scenario
+from tests.simulation.world_digests import ledger_digest, whois_digest
 
 #: sha256 of each figure CSV from
 #: ``repro --scale small --seed 42 figures DIR --jobs 1``.
@@ -82,6 +86,29 @@ DAILY_SMALL_SEED_42 = {
     ),
 }
 
+#: ``world_digests.whois_digest`` and ``ledger_digest`` of a fresh
+#: paper-scale world, per seed.
+PAPER_WHOIS = {
+    3: (
+        "c7386f4be7451a9d77d7e0654749b1b4"
+        "afb4cc367dd67dc143c34ddc757dac8c"
+    ),
+    42: (
+        "65ced65c715ce4e3f1d84ef3b4d3af46"
+        "72c317e1eae2998cb9e6e1c4cc26d611"
+    ),
+}
+PAPER_LEDGER = {
+    3: (
+        "f2148da5273f87dae1f25a1e1f674342"
+        "d154c8dfa6077bb5721d096a929fda8e"
+    ),
+    42: (
+        "b762fe39b7106a671b2759060663b56c"
+        "665651c1162492084f0d2a775a623dd2"
+    ),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -133,3 +160,10 @@ def test_small_daily_delegations_are_unchanged(tmp_path, name):
         digests[label] = _sha256(path.read_bytes())
     expected = DAILY_SMALL_SEED_42[name]
     assert digests == {"runner": expected, "infer_range": expected}
+
+
+@pytest.mark.parametrize("seed", sorted(PAPER_WHOIS))
+def test_paper_whois_and_ledger_are_unchanged(seed):
+    world = World(paper_scenario(seed=seed))
+    assert whois_digest(world.whois()) == PAPER_WHOIS[seed]
+    assert ledger_digest(world.transfer_ledger()) == PAPER_LEDGER[seed]
