@@ -19,7 +19,16 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import WhoisError
-from repro.netbase.prefix import IPv4Prefix, format_address
+from repro.netbase.prefix import ADDRESS_BITS, IPv4Prefix, format_address
+
+
+def primary_key(first: int, last: int) -> int:
+    """The smallest prefix covering ``[first, last]``, packed as
+    ``(network << 6) | length``."""
+    host_bits = (first ^ last).bit_length()
+    return ((first >> host_bits) << (host_bits + 6)) | (
+        ADDRESS_BITS - host_bits
+    )
 
 
 class InetnumStatus(enum.Enum):
@@ -108,25 +117,18 @@ class InetnumObject:
         return IPv4Prefix.from_range(self.first, self.last)
 
     def primary_prefix(self) -> IPv4Prefix:
-        """The single covering prefix used for trie indexing.
+        """The single covering prefix used for indexing.
 
         For a CIDR-aligned range this *is* the range; otherwise it is
         the smallest prefix containing it.
         """
-        prefixes = self.prefixes()
-        if len(prefixes) == 1:
-            return prefixes[0]
-        length = 32
-        while length > 0:
-            candidate = IPv4Prefix(self.first, length, strict=False)
-            if candidate.contains_address(self.last):
-                return candidate
-            length -= 1
-        return IPv4Prefix(0, 0)
+        key = primary_key(self.first, self.last)
+        return IPv4Prefix(key >> 6, key & 63)
 
     @property
     def is_cidr_aligned(self) -> bool:
-        return len(self.prefixes()) == 1
+        host_bits = (self.first ^ self.last).bit_length()
+        return self.num_addresses == 1 << host_bits
 
     def smaller_than(self, length: int) -> bool:
         """True if the range holds fewer addresses than a /``length``.
