@@ -3,6 +3,11 @@
 Components are built lazily and cached; each draws from its own
 deterministic RNG stream (seed, component-name), so generating the
 WHOIS database never perturbs the market history and vice versa.
+Builders that carve address space from the LIR holdings (the WHOIS
+database and the ROA snapshots) each carve from their own copy of the
+pools as the delegation plan left them, so neither sees the other's
+allocations and every component is the same whatever order the world
+is built in.
 """
 
 from __future__ import annotations
@@ -45,7 +50,11 @@ from repro.whois.database import WhoisDatabase
 
 
 class World:
-    """Deterministic synthetic internet for one scenario."""
+    """Deterministic synthetic internet for one scenario.
+
+    Every component is a function of the scenario alone: building some
+    or all of them, in any order, gives the same data.
+    """
 
     def __init__(self, config: ScenarioConfig):
         config.validate()
@@ -152,13 +161,23 @@ class World:
         return self.orgs()[1]
 
     def carve_pools(self) -> Dict[str, FreePool]:
-        """Per-LIR pools over their holdings (for carving sub-blocks)."""
+        """Per-LIR pools over their holdings, as the delegation plan
+        carves them."""
         if self._carve_pools is None:
             self._carve_pools = {
                 org.org_id: FreePool(list(org.holdings))
                 for org in self.lirs()
             }
         return self._carve_pools
+
+    def _pools_after_plan(self) -> Dict[str, FreePool]:
+        """A private copy of every carve pool after the delegation plan
+        took its blocks: one per builder that carves further."""
+        self.delegation_plan()
+        return {
+            org_id: pool.copy()
+            for org_id, pool in self.carve_pools().items()
+        }
 
     # -- delegations ------------------------------------------------------------
 
@@ -227,7 +246,7 @@ class World:
                 self.lirs(),
                 self.customers(),
                 self.delegation_plan(),
-                self.carve_pools(),
+                self._pools_after_plan(),
             )
         return self._whois
 
@@ -275,7 +294,7 @@ class World:
                 self._config,
                 self.lirs(),
                 self.customers(),
-                self.carve_pools(),
+                self._pools_after_plan(),
                 plan=self.delegation_plan(),
             )
         return self._rpki

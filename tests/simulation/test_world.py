@@ -9,6 +9,7 @@ from repro.registry.transfers import TransferType
 from repro.simulation import World, paper_scenario, small_scenario
 from repro.simulation.scenario import ScenarioConfig
 from repro.errors import ScenarioError
+from tests.simulation.world_digests import rpki_digest, whois_digest
 
 D = datetime.date
 
@@ -51,6 +52,26 @@ class TestDeterminism:
         specs_a = {str(s.prefix) for s in a.delegation_plan().specs}
         specs_b = {str(s.prefix) for s in b.delegation_plan().specs}
         assert specs_a != specs_b
+
+    @pytest.mark.parametrize("scenario", [
+        small_scenario(seed=42), paper_scenario(seed=3),
+    ], ids=["small-42", "paper-3"])
+    def test_whois_and_rpki_do_not_depend_on_build_order(self, scenario):
+        # Both carve from the LIR pools the delegation plan left; each
+        # must get its own copy, or the second one built gets what the
+        # first one left.
+        built = {}
+        for order in (("whois",), ("rpki",), ("whois", "rpki"),
+                      ("rpki", "whois")):
+            world = World(scenario)
+            for component in order:
+                digest = (
+                    whois_digest(world.whois()) if component == "whois"
+                    else rpki_digest(world.rpki())
+                )
+                built.setdefault(component, set()).add(digest)
+        assert len(built["whois"]) == 1
+        assert len(built["rpki"]) == 1
 
     def test_announcements_deterministic_per_day(self, world):
         date = D(2020, 1, 15)
