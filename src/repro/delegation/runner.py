@@ -43,7 +43,6 @@ as :class:`~repro.errors.ReproError` instead of a hang or a raw
 
 from __future__ import annotations
 
-import collections
 import concurrent.futures
 import datetime
 import hashlib
@@ -770,6 +769,32 @@ def _chunk_size(items: int, jobs: int) -> int:
     return max(1, -(-items // (workers * _CHUNKS_PER_WORKER)))
 
 
+def _fold_future(
+    future: concurrent.futures.Future,
+    result: InferenceResult,
+    store: Optional[ShardStore],
+    result_key: Callable[[datetime.date], str],
+    metrics: MetricsRegistry,
+) -> Tuple[str, int]:
+    """Fold one finished chunk and merge its worker registry; returns
+    the chunk's transport and byte size.  Nothing here outlives the
+    call, so the chunk's bytes go with its future."""
+    try:
+        shipped, worker_registry = future.result()
+    except ReproError:
+        raise
+    except Exception as exc:
+        raise ReproError(
+            "delegation-inference worker failed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    size = _fold_chunk(shipped, result, store, result_key)
+    if worker_registry is not None:
+        metrics.merge(worker_registry)
+        metrics.inc("runner.worker_registries_merged")
+    return shipped[0], size
+
+
 def _compute_parallel(
     stream_factory: StreamFactory,
     config: InferenceConfig,
@@ -783,7 +808,7 @@ def _compute_parallel(
 ) -> Tuple[int, int]:
     """Fan the missing days out over a process pool.
 
-    Chunks come back in submission order, each folded into ``result``
+    Chunks are taken in completion order, each folded into ``result``
     by :func:`_fold_chunk` as it arrives and merged with its worker's
     metrics registry (``None`` when the run is uninstrumented), so
     per-day timings and stream counters survive the fan-in.  Returns
@@ -819,28 +844,21 @@ def _compute_parallel(
     try:
         # The worker is looked up here, at submit time, so a wrapper
         # installed on the module attribute (tracing) runs in the pool.
-        futures = collections.deque(
+        pending = {
             executor.submit(_worker_run_chunk, chunk) for chunk in chunks
-        )
-        while futures:
-            # Popped, so no finished future keeps a pickled chunk's
-            # bytes alive until the loop ends.
-            future = futures.popleft()
-            try:
-                shipped, worker_registry = future.result()
-            except ReproError:
-                raise
-            except Exception as exc:
-                raise ReproError(
-                    "delegation-inference worker failed: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            shipped_bytes[shipped[0]] += _fold_chunk(
-                shipped, result, store, result_key
+        }
+        while pending:
+            done, pending = concurrent.futures.wait(
+                pending, return_when=concurrent.futures.FIRST_COMPLETED
             )
-            if worker_registry is not None:
-                metrics.merge(worker_registry)
-                metrics.inc("runner.worker_registries_merged")
+            while done:
+                # Folded in completion order and popped, so no finished
+                # chunk waits behind a slower one, and none outlives its
+                # fold while the next is awaited.
+                transport, size = _fold_future(
+                    done.pop(), result, store, result_key, metrics
+                )
+                shipped_bytes[transport] += size
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
         swept = _sweep_segments(prefix)

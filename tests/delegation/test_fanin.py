@@ -8,12 +8,14 @@ interrupt) leaks a shared-memory segment or trips the resource
 tracker.
 """
 
+import dataclasses
 import datetime
 import os
 import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 
 import pytest
@@ -284,3 +286,73 @@ class TestNoBufferOutlivesItsChunk:
             f"the pickled run holds {extra_kb:.1f} kB more heap at rule "
             f"(v) than the shared-memory run ({pickled_kb} kB pickled)"
         )
+
+
+#: How long the wrapper below holds back the chunk holding ``START``.
+FIRST_CHUNK_DELAY = 1.0
+
+_run_chunk = runner._worker_run_chunk
+
+
+def _delay_first_chunk(tasks):
+    """Worker entry point that finishes the first chunk last.
+
+    Module level, so the pool can pickle it by name; installed on
+    ``runner._worker_run_chunk``, which the parent looks up at submit
+    time.
+    """
+    if tasks[0] == START:
+        time.sleep(FIRST_CHUNK_DELAY)
+    return _run_chunk(tasks)
+
+
+def _prefixed(metrics, prefix):
+    values = {**metrics.counters(), **metrics.gauges()}
+    return {k: v for k, v in values.items() if k.startswith(prefix)}
+
+
+class TestCompletionOrder:
+    """Chunks are folded as they finish, not as they were submitted,
+    and the fold order reaches no output."""
+
+    def test_late_first_chunk_changes_nothing(
+        self, factory, as2org, tmp_path, monkeypatch
+    ):
+        def sweep(jobs):
+            metrics = MetricsRegistry()
+            result = _run(factory, as2org, jobs=jobs, metrics=metrics)
+            return result, metrics
+
+        sequential, sequential_metrics = sweep(1)
+        in_order, in_order_metrics = sweep(2)
+        folded = []
+        fold_encoded = runner._fold_encoded
+
+        def record_fold(result, data):
+            date = fold_encoded(result, data)
+            folded.append(date)
+            return date
+
+        monkeypatch.setattr(runner, "_worker_run_chunk", _delay_first_chunk)
+        monkeypatch.setattr(runner, "_fold_encoded", record_fold)
+        late, late_metrics = sweep(2)
+
+        # The held-back chunk was not the first one folded.
+        assert folded[0] != START
+        assert sorted(folded) == sequential.daily.dates()
+        assert _daily_bytes(late, tmp_path / "late.jsonl") == _daily_bytes(
+            sequential, tmp_path / "sequential.jsonl")
+        assert _counters(late) == _counters(sequential)
+        assert _prefixed(late_metrics, "pipeline.") == _prefixed(
+            sequential_metrics, "pipeline.")
+        # jobs=1 ships nothing, so the transport split is compared with
+        # a jobs=2 run that folds in submission order.
+        assert _prefixed(late_metrics, "fanin.") == _prefixed(
+            in_order_metrics, "fanin.")
+        assert _prefixed(late_metrics, "fanin.shm_kb")["fanin.shm_kb"] > 0
+        stats = dataclasses.asdict(late.runner_stats)
+        expected = dataclasses.asdict(sequential.runner_stats)
+        for varying in ("jobs", "elapsed_seconds"):
+            del stats[varying], expected[varying]
+        assert stats == expected
+        assert late.runner_stats.jobs == 2
