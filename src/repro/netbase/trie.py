@@ -1,7 +1,7 @@
 """Binary radix trie keyed by IPv4 prefixes.
 
-The trie is the workhorse behind routing-table lookups, bogon checks,
-WHOIS ``inetnum`` hierarchies, and delegation matching.  It maps
+The trie is the workhorse behind routing-table lookups, bogon checks
+and prefix-set queries.  It maps
 :class:`~repro.netbase.prefix.IPv4Prefix` keys to arbitrary values and
 supports the three query families the reproduction needs:
 

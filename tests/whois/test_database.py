@@ -63,6 +63,16 @@ class TestStore:
                 parse_address("193.0.4.0"), parse_address("193.0.4.255")
             )
 
+    def test_remove_by_range(self, database):
+        # Any object with a stored range removes the stored one, from
+        # the index as well as the store.
+        database.remove_inetnum(make("193.0.4.0", "193.0.4.255",
+                                     netname="OTHER"))
+        assert len(database) == 2
+        assert database.most_specific_containing(
+            IPv4Prefix.parse("193.0.4.0/25")
+        ).last == parse_address("193.0.7.255")
+
     def test_org_lookup(self, database):
         assert database.org("ORG-LIR").name == "Big LIR"
         with pytest.raises(ObjectNotFoundError):
