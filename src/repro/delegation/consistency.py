@@ -146,12 +146,28 @@ def fill_gaps(
     days nobody measured.  A sighting on a day off the grid still
     breaks the gap around it.
 
+    A grid too sparse to fill anything returns ``daily`` itself, not a
+    copy: see the exit below.
+
     ``metrics`` receives ``pipeline.consistency.fills`` (key-days
     added) and ``pipeline.consistency.conflicts`` (gaps left open
     because of a rival delegation); both are deterministic functions
     of the input, so parallel and sequential runs report the same.
     """
     grid, position, ordinals = _grid(observation_dates)
+    # A fill or a counted conflict needs consecutive sightings at grid
+    # positions i and j >= i + 2 with ordinals[j] - ordinals[i] <= M.
+    # Ordinals strictly increase, so the shortest such span from i is
+    # ordinals[i + 2] - ordinals[i]; when every one exceeds M (any
+    # uniform step s with 2s > M, or fewer than three grid days), the
+    # columns below would be rebuilt exactly as they are.
+    if not any(
+        later - earlier <= rule.max_span_days
+        for earlier, later in zip(ordinals, ordinals[2:])
+    ):
+        metrics.inc("pipeline.consistency.fills", 0)
+        metrics.inc("pipeline.consistency.conflicts", 0)
+        return daily
     recorded = daily.dates()
     # Every day a column can end up on — the recorded days and the grid
     # days — indexed in date order; sightings arrive as those indices.

@@ -171,7 +171,10 @@ class TransferLedger:
     """
 
     def __init__(self) -> None:
+        #: Sorted in place by the first read after an append; the sort
+        #: is stable, so equal keys keep their append order.
         self._records: List[TransferRecord] = []
+        self._sorted = True
         self._next_id = 1
 
     # -- recording ------------------------------------------------------
@@ -201,6 +204,7 @@ class TransferLedger:
         )
         self._next_id += 1
         self._records.append(record)
+        self._sorted = False
         return record
 
     def extend(self, records: Iterable[TransferRecord]) -> None:
@@ -208,30 +212,37 @@ class TransferLedger:
         for record in records:
             self._records.append(record)
             self._next_id = max(self._next_id, len(self._records) + 1)
+        self._sorted = False
 
     # -- queries ------------------------------------------------------------
 
+    def _chronological(self) -> List[TransferRecord]:
+        if not self._sorted:
+            self._records.sort(key=lambda r: (r.date, r.transfer_id))
+            self._sorted = True
+        return self._records
+
     def records(self) -> List[TransferRecord]:
-        """All records in chronological order."""
-        return sorted(self._records, key=lambda r: (r.date, r.transfer_id))
+        """All records in chronological order (a copy: change it freely)."""
+        return list(self._chronological())
 
     def intra_rir(self, rir: RIR) -> List[TransferRecord]:
         """Transfers entirely within ``rir``."""
         return [
             r
-            for r in self.records()
+            for r in self._chronological()
             if r.source_rir is rir and r.recipient_rir is rir
         ]
 
     def inter_rir(self) -> List[TransferRecord]:
         """All transfers that moved space between RIRs."""
-        return [r for r in self.records() if r.is_inter_rir]
+        return [r for r in self._chronological() if r.is_inter_rir]
 
     def between(
         self, start: datetime.date, end: datetime.date
     ) -> List[TransferRecord]:
         """Records with ``start <= date < end``."""
-        return [r for r in self.records() if start <= r.date < end]
+        return [r for r in self._chronological() if start <= r.date < end]
 
     def __len__(self) -> int:
         return len(self._records)
@@ -250,7 +261,7 @@ class TransferLedger:
         """
         involved = [
             r
-            for r in self.records()
+            for r in self._chronological()
             if r.source_rir is rir or r.recipient_rir is rir
         ]
         return {
@@ -299,7 +310,7 @@ class TransferLedger:
         an inter-RIR transfer still collapses to one record because
         both endpoint feeds publish the same type label.
         """
-        ledger = cls()
+        kept: List[TransferRecord] = []
         seen: set = set()
         for feed_index, feed in enumerate(feeds):
             source = (
@@ -344,6 +355,7 @@ class TransferLedger:
                 if key in seen:
                     continue
                 seen.add(key)
-                ledger._records.append(record)
-        ledger._next_id = len(ledger._records) + 1
+                kept.append(record)
+        ledger = cls()
+        ledger.extend(kept)
         return ledger

@@ -11,6 +11,8 @@ from repro.delegation.consistency import (
 )
 from repro.delegation.model import DailyDelegations
 from repro.netbase.prefix import IPv4Prefix
+from repro.obs.metrics import MetricsRegistry
+from tests.delegation import consistency_oracle as oracle
 
 D = datetime.date
 
@@ -19,8 +21,8 @@ def p(text):
     return IPv4Prefix.parse(text)
 
 
-def grid(first, count):
-    return [first + datetime.timedelta(days=i) for i in range(count)]
+def grid(first, count, step=1):
+    return [first + datetime.timedelta(days=step * i) for i in range(count)]
 
 
 KEY = (p("193.0.4.0/24"), 100, 200)
@@ -205,3 +207,55 @@ class TestFillGaps:
         assert max(counts_before) - min(counts_before) == 1
         # After filling every day between first and last sighting is on.
         assert counts_after[:29] == [1] * 29
+
+    # Grids on which no gap can be filled come back untouched.  A fill
+    # (or a counted conflict) needs consecutive sightings at grid
+    # positions i and j >= i + 2 at most M days apart, so when every
+    # ordinal[i + 2] - ordinal[i] exceeds M, fill_gaps returns its
+    # input.  On a uniform step s that is exactly 2s > M.
+
+    def _assert_exit(self, daily, rule, dates):
+        metrics = MetricsRegistry()
+        assert fill_gaps(daily, rule, dates, metrics=metrics) is daily
+        assert metrics.counters() == {
+            "pipeline.consistency.fills": 0,
+            "pipeline.consistency.conflicts": 0,
+        }
+
+    def test_step_of_half_m_still_fills(self):
+        dates = grid(D(2020, 1, 1), 5, step=5)  # 2s == M
+        daily = self._daily([dates[0], dates[2]])
+        metrics = MetricsRegistry()
+        filled = fill_gaps(daily, ConsistencyRule(10, 0), dates,
+                           metrics=metrics)
+        assert filled is not daily
+        assert KEY in filled.on(dates[1])
+        assert metrics.counters()["pipeline.consistency.fills"] == 1
+
+    def test_step_over_half_m_returns_input(self):
+        dates = grid(D(2020, 1, 1), 5, step=5)  # 2s == M + 1
+        daily = self._daily([dates[0], dates[2], dates[3]])
+        daily.record(dates[1], [CONFLICT_KEY])
+        self._assert_exit(daily, ConsistencyRule(9, 0), dates)
+
+    def test_daily_stretch_then_sparse_is_still_filled(self):
+        dates = grid(D(2020, 1, 1), 10) + grid(D(2020, 2, 1), 4, step=30)
+        daily = self._daily([dates[0], dates[4], dates[10], dates[12]])
+        daily.record(dates[2], [OTHER_KEY])
+        daily.record(dates[11], [CONFLICT_KEY])
+        rule = ConsistencyRule(10, 0)
+        metrics, oracle_metrics = MetricsRegistry(), MetricsRegistry()
+        filled = fill_gaps(daily, rule, dates, metrics=metrics)
+        expected = oracle.fill_gaps(daily, rule, dates,
+                                    metrics=oracle_metrics)
+        assert KEY in filled.on(dates[2])
+        assert filled.dates() == expected.dates()
+        for date in expected.dates():
+            assert filled.on(date) == expected.on(date)
+        assert metrics.counters() == oracle_metrics.counters()
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_short_grids_return_input(self, count):
+        dates = grid(D(2020, 1, 1), count)
+        daily = self._daily(grid(D(2019, 12, 30), 5))
+        self._assert_exit(daily, ConsistencyRule(10, 0), dates)

@@ -182,3 +182,40 @@ class TestOracleDifferential:
         for date in expected.dates():
             assert filled.on(date) == expected.on(date)
         assert metrics.counters() == oracle_metrics.counters()
+
+
+class TestUniformGridExit:
+    """On a uniform step s, rule (v) can fill nothing once 2s > M.
+
+    ``fill_gaps`` then hands back its input object; elsewhere it builds
+    a new one.  Either way it matches the oracle, counters included.
+    """
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(min_value=1, max_value=15),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=30),
+        st.data(),
+    )
+    def test_matches_oracle_and_exits_exactly(self, step, count, span, data):
+        dates = [day(step * i) for i in range(count)]
+        last = step * max(count - 1, 0)
+        offsets = st.sets(
+            st.integers(min_value=-2, max_value=last + 2), max_size=10
+        )
+        daily = DailyDelegations()
+        for key in (KEY, CONFLICT, SAME_DELEGATEE, OTHER_PREFIX):
+            for i in data.draw(offsets):
+                daily.record(day(i), [key])
+        rule = ConsistencyRule(span, 0)
+        metrics, oracle_metrics = MetricsRegistry(), MetricsRegistry()
+        filled = fill_gaps(daily, rule, dates, metrics=metrics)
+        expected = oracle.fill_gaps(
+            daily, rule, dates, metrics=oracle_metrics
+        )
+        assert filled.dates() == expected.dates()
+        for date in expected.dates():
+            assert filled.on(date) == expected.on(date)
+        assert metrics.counters() == oracle_metrics.counters()
+        assert (filled is daily) == (count < 3 or 2 * step > span)

@@ -151,6 +151,51 @@ class TestLedger:
         dates = [r.date for r in ledger]
         assert dates == sorted(dates)
 
+    def test_record_after_read_appears_in_order(self):
+        ledger = TransferLedger()
+        make_record(ledger, date="2020-03-02")
+        make_record(ledger, date="2020-01-02")
+        assert len(ledger.records()) == 2
+        early = make_record(ledger, date="2019-12-01", prefix="193.0.1.0/24")
+        assert ledger.records()[0] is early
+        assert [r.date for r in ledger] == [
+            d("2019-12-01"), d("2020-01-02"), d("2020-03-02"),
+        ]
+        assert len(ledger.intra_rir(RIR.RIPE)) == 3
+        late = TransferRecord(
+            transfer_id="X1", date=d("2020-12-01"),
+            prefixes=(p("8.0.0.0/24"),), source_org="a", recipient_org="b",
+            source_rir=RIR.ARIN, recipient_rir=RIR.ARIN,
+            true_type=TransferType.MARKET,
+        )
+        ledger.extend([late])
+        assert ledger.records()[-1] is late
+        assert len(ledger.between(d("2019-01-01"), d("2021-01-01"))) == 4
+
+    def test_records_returns_a_copy(self):
+        ledger = TransferLedger()
+        make_record(ledger, date="2020-03-02")
+        make_record(ledger, date="2020-01-02")
+        records = ledger.records()
+        records.reverse()
+        records.append(records[0])
+        assert [r.date for r in ledger.records()] == [
+            d("2020-01-02"), d("2020-03-02"),
+        ]
+        assert len(ledger) == 2
+
+    def test_from_feeds_sorts_and_numbers_like_record(self):
+        ledger = TransferLedger()
+        make_record(ledger, date="2020-03-02")
+        make_record(ledger, date="2020-01-02", prefix="193.0.1.0/24")
+        rebuilt = TransferLedger.from_feeds(
+            [ledger.feed_for(rir) for rir in RIR]
+        )
+        assert [r.date for r in rebuilt] == [d("2020-01-02"), d("2020-03-02")]
+        added = make_record(rebuilt, date="2019-06-01")
+        assert added.transfer_id == "T0000003"
+        assert rebuilt.records()[0] is added
+
     def test_feed_contains_both_endpoints(self):
         ledger = TransferLedger()
         make_record(ledger, src_rir=RIR.ARIN, dst_rir=RIR.RIPE,
