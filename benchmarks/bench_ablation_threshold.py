@@ -24,7 +24,7 @@ def test_ablation_visibility_threshold(benchmark, world, record_result):
     dates = [
         start + datetime.timedelta(days=30 * i) for i in range(SAMPLE_DAYS)
     ]
-    day_pairs = {date: stream.pairs_on(date) for date in dates}
+    day_tables = {date: stream.pair_table_on(date) for date in dates}
 
     def sweep():
         results = {}
@@ -35,10 +35,10 @@ def test_ablation_visibility_threshold(benchmark, world, record_result):
             )
             inference = DelegationInference(config, as2org)
             counts = [
-                len(inference.infer_day_from_pairs(
-                    pairs, total_monitors, date
+                len(inference.infer_day_from_table(
+                    table, total_monitors, date
                 ))
-                for date, pairs in day_pairs.items()
+                for date, table in day_tables.items()
             ]
             results[threshold] = sum(counts) / len(counts)
         return results

@@ -51,9 +51,10 @@ def test_sec4_rdap_pipeline(benchmark, world, record_result):
     # BGP delegations on the comparison date (end of the window).
     comparison_date = config.bgp_end - datetime.timedelta(days=1)
     inference = DelegationInference(InferenceConfig.extended(), world.as2org())
-    pairs = world.stream().pairs_on(comparison_date)
-    bgp = inference.infer_day_from_pairs(
-        pairs, world.stream().monitor_count(), comparison_date
+    stream = world.stream()
+    bgp = inference.infer_day_from_table(
+        stream.pair_table_on(comparison_date), stream.monitor_count(),
+        comparison_date,
     )
     bgp_prefixes = [d.prefix for d in bgp]
     report = compare_delegations(bgp_prefixes, rdap_delegations)

@@ -27,10 +27,9 @@ def test_x1_three_source_fusion(benchmark, world, record_result):
         inference = DelegationInference(
             InferenceConfig.extended(), world.as2org()
         )
-        bgp = inference.infer_day_from_pairs(
-            world.stream().pairs_on(date),
-            world.stream().monitor_count(),
-            date,
+        stream = world.stream()
+        bgp = inference.infer_day_from_table(
+            stream.pair_table_on(date), stream.monitor_count(), date
         )
         rpki_date = world.rpki().dates()[-1]
         rpki = world.rpki().delegations_on(rpki_date)

@@ -33,10 +33,9 @@ def main() -> None:
     inference = DelegationInference(
         InferenceConfig.extended(), world.as2org()
     )
-    bgp = inference.infer_day_from_pairs(
-        world.stream().pairs_on(date),
-        world.stream().monitor_count(),
-        date,
+    stream = world.stream()
+    bgp = inference.infer_day_from_table(
+        stream.pair_table_on(date), stream.monitor_count(), date
     )
 
     # Source 2: RPKI (ROA-implied delegations on the last snapshot).

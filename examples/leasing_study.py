@@ -39,7 +39,7 @@ def main() -> None:
     bgp_prefixes = sorted(result.daily.prefixes_on(comparison_date))
     print(f"BGP view ({comparison_date}): "
           f"{len(bgp_prefixes)} delegated prefixes")
-    print(f"  route sanitization: {result.sanitize_stats.as_dict()}")
+    print(f"  dropped as bogons: {result.pairs_dropped_bogon}")
     print(f"  dropped for visibility: {result.pairs_dropped_visibility}, "
           f"for AS_SET/MOAS: {result.pairs_dropped_origin}, "
           f"same-org: {result.delegations_dropped_same_org}")

@@ -316,45 +316,6 @@ class CollectorSystem:
                 announcements, self._propagation, date
             )
 
-    def pair_counts_for_day(
-        self,
-        announcements: Iterable[Announcement],
-    ) -> "Dict[object, tuple]":
-        """Aggregate the day directly into prefix-origin visibility.
-
-        Returns ``prefix -> (OriginSet, distinct monitor count)`` —
-        exactly what :func:`repro.bgp.stream.prefix_origin_pairs`
-        computes from materialized records, but without building one
-        record per (monitor, prefix).  This fast path makes multi-year
-        daily inference tractable; tests assert its equivalence to the
-        record-level path.
-        """
-        from repro.netbase.asnum import OriginSet
-
-        origins: Dict[object, OriginSet] = {}
-        seen_monitors: Dict[object, int] = {}
-        bits, masks = self._visibility_table()
-        for announcement in announcements:
-            origin = announcement.origin_asn
-            visible = masks.get(origin, 0)
-            if announcement.restricted_to_monitors is not None:
-                visible &= _mask_of(announcement.restricted_to_monitors, bits)
-            if not visible:
-                continue
-            origin_set = OriginSet(
-                (origin,), from_as_set=announcement.as_set_origin
-            )
-            prefix = announcement.prefix
-            existing = origins.get(prefix)
-            origins[prefix] = (
-                origin_set if existing is None else existing.merge(origin_set)
-            )
-            seen_monitors[prefix] = seen_monitors.get(prefix, 0) | visible
-        return {
-            prefix: (origins[prefix], _popcount(seen_monitors[prefix]))
-            for prefix in origins
-        }
-
     def _row_visibility(self, rows: AnnouncementColumns) -> "_RowVisibility":
         """What the collectors see of each row of ``rows``.
 
@@ -373,10 +334,12 @@ class CollectorSystem:
         """Aggregate the day straight into a columnar
         :class:`~repro.bgp.rib.PairTable`.
 
-        Same facts as :meth:`pair_counts_for_day` — per-prefix origin
-        uniqueness and distinct monitor count — read off packed
-        columns: an :class:`~repro.bgp.message.AnnouncementDay` as it
-        is, any other announcement iterable coerced into one.  The
+        Same facts as :func:`repro.bgp.stream.prefix_origin_pairs`
+        finds in the day's records — per-prefix origin uniqueness and
+        distinct monitor count — without building one record per
+        (monitor, prefix).  They are read off packed columns: an
+        :class:`~repro.bgp.message.AnnouncementDay` as it is, any
+        other announcement iterable coerced into one.  The
         day's selected rows are plain and already in key order, so
         they go into the table by ``compress``.  The rest (extras, and
         rows whose key another row shares) are folded in one at a

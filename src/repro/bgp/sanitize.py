@@ -7,8 +7,8 @@ routes that contain a loop in their AS-PATH."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.bgp.message import RouteRecord
 from repro.netbase.bogons import is_bogon
@@ -40,31 +40,18 @@ class SanitizeStats:
         }
 
 
-def is_clean(record: RouteRecord) -> bool:
-    """True if the record survives all three cleaning rules."""
-    if is_bogon(record.prefix):
-        return False
-    if record.as_path.has_reserved_asn():
-        return False
-    if record.as_path.has_loop():
-        return False
-    return True
-
-
-def sanitize_records(
+def sanitize_paths(
     records: Iterable[RouteRecord],
     stats: "SanitizeStats | None" = None,
 ) -> Iterator[RouteRecord]:
-    """Yield only clean records, attributing removals to their rule.
+    """Yield the records whose AS path passes both AS-path rules.
 
-    Rules are checked in the paper's order, so a record failing several
-    is counted against the first.
+    Routes carrying an ASN reserved by IANA go first, then routes with
+    a loop in their AS path.  The bogon rule is left out: it depends on
+    the prefix alone, so the per-day kernel applies it to whole
+    prefix-origin pairs.
     """
     for record in records:
-        if is_bogon(record.prefix):
-            if stats is not None:
-                stats.bogon_prefix += 1
-            continue
         if record.as_path.has_reserved_asn():
             if stats is not None:
                 stats.reserved_asn += 1
@@ -76,3 +63,24 @@ def sanitize_records(
         if stats is not None:
             stats.kept += 1
         yield record
+
+
+def sanitize_records(
+    records: Iterable[RouteRecord],
+    stats: "SanitizeStats | None" = None,
+) -> Iterator[RouteRecord]:
+    """Yield only clean records, attributing removals to their rule.
+
+    Rules are checked in the paper's order, so a record failing several
+    is counted against the first.
+    """
+
+    def routable() -> Iterator[RouteRecord]:
+        for record in records:
+            if is_bogon(record.prefix):
+                if stats is not None:
+                    stats.bogon_prefix += 1
+                continue
+            yield record
+
+    return sanitize_paths(routable(), stats)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import datetime
 import pathlib
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.bgp.collector import CollectorSystem
 from repro.bgp.message import Announcement, RouteRecord
+from repro.bgp.sanitize import SanitizeStats, sanitize_paths
 from repro.errors import CollectorDataError
 from repro.netbase.asnum import OriginSet
 from repro.netbase.prefix import IPv4Prefix
@@ -100,38 +101,6 @@ class RouteStream:
         self._metrics.inc("stream.records_read", count)
         self._metrics.inc("stream.days_read")
 
-    def days(
-        self,
-        start: datetime.date,
-        end: datetime.date,
-        step_days: int = 1,
-    ) -> Iterator[Tuple[datetime.date, List[RouteRecord]]]:
-        """Yield ``(date, records)`` pairs across a time window."""
-        for date in date_range(start, end, step_days):
-            yield date, list(self.records_on(date))
-
-    def pairs_on(
-        self, date: datetime.date
-    ) -> Dict[IPv4Prefix, Tuple[OriginSet, int]]:
-        """Prefix-origin visibility aggregates for one day.
-
-        Source-backed streams take the collector fast path (no
-        per-monitor record materialization); archive-backed streams
-        aggregate the stored records.
-        """
-        # The aggregation appears as its own span, so traces show how
-        # much of each day went to reading routes versus running the
-        # inference filters (a no-op under the default registry).
-        with self._metrics.span("stream.pairs_on"):
-            if self._source is not None:
-                pairs = self._system.pair_counts_for_day(
-                    self._source(date)
-                )
-            else:
-                pairs = prefix_origin_pairs(self.records_on(date))
-        self._metrics.inc("stream.pairs_aggregated", len(pairs))
-        return pairs
-
     def pair_table_on(self, date: datetime.date):
         """One day's pairs as a columnar :class:`~repro.bgp.rib.
         PairTable` — the input of the per-day inference kernel.
@@ -141,8 +110,13 @@ class RouteStream:
         (:meth:`CollectorSystem.pair_table_for_day`), under two child
         spans: ``simulation.announce`` (making the day) and
         ``bgp.aggregate`` (aggregating it).  Archive-backed streams
-        convert the record-level aggregation.  Spans/counters otherwise
-        use the same names as :meth:`pairs_on`.
+        first drop the routes that break the paper's AS-path rules
+        (:func:`~repro.bgp.sanitize.sanitize_paths`), counted as
+        ``stream.sanitize.reserved_asn`` and
+        ``stream.sanitize.as_path_loop``, then aggregate the rest.
+        Bogon prefixes stay in the table for either kind: the kernel
+        drops them per pair.  The whole day runs in the
+        ``stream.pairs_on`` span.
         """
         from repro.bgp.rib import PairTable
 
@@ -154,8 +128,15 @@ class RouteStream:
                 with metrics.span("bgp.aggregate"):
                     table = self._system.pair_table_for_day(day)
             else:
-                table = PairTable.from_pairs(
-                    prefix_origin_pairs(self.records_on(date))
+                stats = SanitizeStats()
+                table = PairTable.from_pairs(prefix_origin_pairs(
+                    sanitize_paths(self.records_on(date), stats)
+                ))
+                metrics.inc(
+                    "stream.sanitize.reserved_asn", stats.reserved_asn
+                )
+                metrics.inc(
+                    "stream.sanitize.as_path_loop", stats.as_path_loop
                 )
         metrics.inc("stream.pairs_aggregated", len(table))
         return table

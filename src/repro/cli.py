@@ -46,7 +46,7 @@ import math
 import os
 import pathlib
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.leasing_prices import summarize_leasing_prices
 from repro.analysis.prices import (
@@ -178,22 +178,6 @@ def _registry_for(args: argparse.Namespace) -> MetricsRegistry:
     return registry
 
 
-def _write_trace(args: argparse.Namespace, metrics: MetricsRegistry) -> None:
-    """Write the ``--trace-out`` artifact when the flag was given."""
-    target = getattr(args, "trace_out", None)
-    if target is not None:
-        metrics.trace.write(target)
-
-
-def _write_prom(args: argparse.Namespace, metrics: MetricsRegistry) -> None:
-    """Write the ``--prom-out`` artifact when the flag was given."""
-    target = getattr(args, "prom_out", None)
-    if target is not None:
-        from repro.obs.telemetry import write_prometheus
-
-        write_prometheus(metrics, target)
-
-
 # -- manifest assembly ----------------------------------------------------
 
 
@@ -251,17 +235,59 @@ def _runner_settings(args: argparse.Namespace) -> dict:
     }
 
 
-def _write_infer_manifest(
+def _finish_run(
     args: argparse.Namespace,
-    command: str,
+    metrics: MetricsRegistry,
+    manifest: Callable[[], RunManifest],
+    *,
+    results: Optional[Sequence] = None,
+    runner: bool = False,
+) -> None:
+    """Write whichever of ``--metrics-out``, ``--trace-out`` and
+    ``--prom-out`` the command was given — the one way a run ends.
+
+    ``manifest`` builds the command's own manifest, and is called only
+    for ``--metrics-out``.  Every manifest then gets the world's
+    ``scale`` and ``seed`` and the ``runner`` settings ``history
+    check`` pairs runs by (``None`` unless ``runner``) in ``extra``;
+    given the inference ``results``, the days they read from result
+    shards and computed go under ``cache``.
+    """
+    if args.metrics_out is not None:
+        built = manifest()
+        if results is not None:
+            stats = [
+                r.runner_stats for r in results
+                if r.runner_stats is not None
+            ]
+            built.cache = {
+                "hits": sum(s.days_from_cache for s in stats),
+                "misses": sum(s.days_computed for s in stats),
+            }
+        built.extra = {
+            "scale": args.scale,
+            "seed": args.seed,
+            **built.extra,
+            "runner": _runner_settings(args) if runner else None,
+        }
+        built.write(args.metrics_out)
+    if getattr(args, "trace_out", None) is not None:
+        metrics.trace.write(args.trace_out)
+    if getattr(args, "prom_out", None) is not None:
+        from repro.obs.telemetry import write_prometheus
+
+        write_prometheus(metrics, args.prom_out)
+
+
+def _inference_manifest(
     config: InferenceConfig,
     factory,
     world: World,
-    results,
     metrics: MetricsRegistry,
-) -> None:
+) -> RunManifest:
+    """The ``infer`` manifest: config, inputs and the §4 stage table."""
     manifest = RunManifest(
-        command=command,
+        command="infer",
         config=dataclasses.asdict(config),
         config_digest=config_hash(config),
         metrics=metrics,
@@ -270,17 +296,7 @@ def _write_infer_manifest(
     if config.same_org_filter:
         manifest.add_input("as2org", world.as2org().fingerprint())
     _pipeline_stage_table(manifest, metrics)
-    hits = misses = 0
-    for result in results:
-        stats = result.runner_stats
-        if stats is not None:
-            hits += stats.days_from_cache
-            misses += stats.days_computed
-    manifest.cache = {"hits": hits, "misses": misses}
-    manifest.extra["scale"] = args.scale
-    manifest.extra["seed"] = args.seed
-    manifest.extra["runner"] = _runner_settings(args)
-    manifest.write(args.metrics_out)
+    return manifest
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -340,20 +356,21 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if metrics.enabled:
         for name, (count, _kind) in loaded.items():
             metrics.inc(f"ingest.loaded.{name.replace(' ', '_')}", count)
-    if args.metrics_out is not None:
-        manifest = RunManifest(command="ingest", metrics=metrics)
-        manifest.extra["directory"] = str(base)
-        manifest.extra["error_policy"] = policy.value
-        manifest.attach_degradation(report)
+
+    def manifest() -> RunManifest:
+        built = RunManifest(command="ingest", metrics=metrics)
+        built.extra["directory"] = str(base)
+        built.extra["error_policy"] = policy.value
+        built.attach_degradation(report)
         for name, (count, kind) in loaded.items():
             dropped = report.kind_count(kind)
-            manifest.add_stage(
+            built.add_stage(
                 name, count + dropped, count,
                 dropped={"quarantined": dropped} if dropped else None,
             )
-        manifest.write(args.metrics_out)
-    _write_trace(args, metrics)
-    _write_prom(args, metrics)
+        return built
+
+    _finish_run(args, metrics, manifest)
     rows = [[name, count] for name, (count, _kind) in loaded.items()]
     rows.append(["quarantined records", report.count()])
     print(render_table(
@@ -398,12 +415,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         metrics=metrics,
         store_dir=args.store,
     )
-    if args.metrics_out is not None:
-        _write_infer_manifest(
-            args, "infer", config, factory, world, [result], metrics
-        )
-    _write_trace(args, metrics)
-    _write_prom(args, metrics)
+    _finish_run(
+        args, metrics,
+        lambda: _inference_manifest(config, factory, world, metrics),
+        results=[result], runner=True,
+    )
     rows = [
         [date, count, result.daily.addresses_on(date)]
         for date, count in result.counts_series()
@@ -442,20 +458,17 @@ def _cmd_market(args: argparse.Namespace) -> int:
     if metrics.enabled:
         metrics.inc("market.priced_transactions", len(dataset))
         metrics.inc("market.leasing_providers", leasing.provider_count)
-    if args.metrics_out is not None:
-        manifest = RunManifest(
+
+    def manifest() -> RunManifest:
+        built = RunManifest(
             command="market",
             config_digest=config_hash(world.config),
             metrics=metrics,
         )
-        manifest.add_stage(
-            "priced transactions", len(dataset), len(dataset)
-        )
-        manifest.extra["scale"] = args.scale
-        manifest.extra["seed"] = args.seed
-        manifest.write(args.metrics_out)
-    _write_trace(args, metrics)
-    _write_prom(args, metrics)
+        built.add_stage("priced transactions", len(dataset), len(dataset))
+        return built
+
+    _finish_run(args, metrics, manifest)
     rows = [
         ["priced transactions", len(dataset)],
         ["mean 2020 price ($/IP)", f"{mean_2020:.2f}"],
@@ -584,31 +597,21 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                 base / "fig6_runner.csv", metrics=metrics,
             )
         )
-    if args.metrics_out is not None:
-        # One registry audits the whole export: the pipeline counters
-        # sum the extended and baseline inference runs.
-        manifest = RunManifest(
+    # One registry audits the whole export: the pipeline counters sum
+    # the extended and baseline inference runs.
+    _finish_run(
+        args, metrics,
+        lambda: RunManifest(
             command="figures",
             config_digest=config_hash(world.config),
+            inputs={
+                "stream": WorldStreamFactory(world.config).fingerprint()
+            },
+            extra={"files_written": written},
             metrics=metrics,
-        )
-        manifest.add_input(
-            "stream", WorldStreamFactory(world.config).fingerprint()
-        )
-        hits = misses = 0
-        for result in results:
-            stats = result.runner_stats
-            if stats is not None:
-                hits += stats.days_from_cache
-                misses += stats.days_computed
-        manifest.cache = {"hits": hits, "misses": misses}
-        manifest.extra["scale"] = args.scale
-        manifest.extra["seed"] = args.seed
-        manifest.extra["files_written"] = written
-        manifest.extra["runner"] = _runner_settings(args)
-        manifest.write(args.metrics_out)
-    _write_trace(args, metrics)
-    _write_prom(args, metrics)
+        ),
+        results=results, runner=True,
+    )
     for path in written:
         print(path)
     return 0
@@ -705,21 +708,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ready_path=args.ready_file,
         on_ready=_banner,
     )
-    if args.metrics_out is not None:
-        manifest = RunManifest(
+    _finish_run(
+        args, metrics,
+        lambda: RunManifest(
             command="serve",
             config_digest=config_hash(world.config),
+            extra={"serve": server.health()},
             metrics=metrics,
-        )
-        manifest.extra["scale"] = args.scale
-        manifest.extra["seed"] = args.seed
-        manifest.extra["serve"] = server.health()
-        manifest.extra["runner"] = (
-            None if args.no_infer else _runner_settings(args)
-        )
-        manifest.write(args.metrics_out)
-    _write_trace(args, metrics)
-    _write_prom(args, metrics)
+        ),
+        runner=not args.no_infer,
+    )
     health = server.health()
     print(render_table(
         ["metric", "value"],

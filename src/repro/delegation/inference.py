@@ -2,7 +2,8 @@
 
 The per-day pipeline (§4):
 
-(i)    obtain all prefix-origin pairs from the collectors,
+(i)    obtain all prefix-origin pairs from the collectors, without
+       bogon prefixes, reserved ASNs or AS-path loops,
 (ii)   drop pairs seen by fewer than half of all BGP monitors
        (*visibility threshold*, configurable — footnote 2 sweeps it),
 (iii)  drop pairs whose prefix is originated by an AS_SET or by
@@ -24,13 +25,11 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.asorg.as2org import As2OrgDataset
-from repro.bgp.message import RouteRecord
 from repro.bgp.rib import PairTable
-from repro.bgp.sanitize import SanitizeStats, sanitize_records
-from repro.bgp.stream import RouteStream, prefix_origin_pairs
+from repro.bgp.stream import RouteStream
 from repro.delegation.consistency import ConsistencyRule, fill_gaps
 from repro.delegation.model import (
     BgpDelegation,
@@ -69,9 +68,7 @@ def record_pipeline_counters(
     nothing for the instrumentation.
     """
     metrics.inc("pipeline.pairs_seen", result.pairs_seen)
-    metrics.inc(
-        "pipeline.dropped.bogon", result.sanitize_stats.bogon_prefix
-    )
+    metrics.inc("pipeline.dropped.bogon", result.pairs_dropped_bogon)
     metrics.inc(
         "pipeline.dropped.visibility", result.pairs_dropped_visibility
     )
@@ -110,10 +107,8 @@ class InferenceConfig:
     """
 
     visibility_threshold: float = 0.5
-    drop_non_unique_origins: bool = True
     same_org_filter: bool = True                 # extension (iv)
     consistency_rule: Optional[ConsistencyRule] = ConsistencyRule(10, 0)
-    sanitize: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.visibility_threshold <= 1.0:
@@ -150,10 +145,10 @@ class InferenceResult:
     config: InferenceConfig
     observation_dates: List[datetime.date] = field(default_factory=list)
     pairs_seen: int = 0
+    pairs_dropped_bogon: int = 0
     pairs_dropped_visibility: int = 0
     pairs_dropped_origin: int = 0
     delegations_dropped_same_org: int = 0
-    sanitize_stats: SanitizeStats = field(default_factory=SanitizeStats)
     #: Populated by :mod:`repro.delegation.runner` (a
     #: :class:`~repro.delegation.runner.RunnerStats`); ``None`` for
     #: plain sequential runs.
@@ -195,48 +190,6 @@ class DelegationInference:
 
     # -- single-day pipeline ------------------------------------------------
 
-    def infer_day(
-        self,
-        records: Iterable[RouteRecord],
-        total_monitors: int,
-        date: datetime.date,
-        result: Optional[InferenceResult] = None,
-    ) -> List[BgpDelegation]:
-        """Run steps (i)–(iv) on one day of route records."""
-        config = self._config
-        if config.sanitize:
-            stats = result.sanitize_stats if result is not None else None
-            records = sanitize_records(records, stats)
-        pairs = prefix_origin_pairs(records)
-        return self.infer_day_from_pairs(
-            pairs, total_monitors, date, result, pre_sanitized=True
-        )
-
-    def infer_day_from_pairs(
-        self,
-        pairs: Dict[IPv4Prefix, tuple],
-        total_monitors: int,
-        date: datetime.date,
-        result: Optional[InferenceResult] = None,
-        *,
-        pre_sanitized: bool = False,
-    ) -> List[BgpDelegation]:
-        """Run steps (ii)–(iv) on pre-aggregated prefix-origin pairs.
-
-        ``pairs`` maps prefix → (OriginSet, monitor count) — the fast
-        path produced by
-        :meth:`repro.bgp.collector.CollectorSystem.pair_counts_for_day`.
-        When the pairs did not pass through record-level sanitization,
-        the bogon rule is applied here (the AS-path rules have no
-        equivalent at pair granularity).  The dict is converted to a
-        :class:`~repro.bgp.rib.PairTable` and handed to
-        :meth:`infer_day_from_table`.
-        """
-        return self.infer_day_from_table(
-            PairTable.from_pairs(pairs), total_monitors, date,
-            result, pre_sanitized=pre_sanitized,
-        )
-
     def infer_day_from_table(
         self,
         table: PairTable,
@@ -244,10 +197,17 @@ class DelegationInference:
         date: datetime.date,
         result: Optional[InferenceResult] = None,
         *,
-        pre_sanitized: bool = False,
         metrics: MetricsRegistry = NULL,
     ) -> List[BgpDelegation]:
         """Steps (ii)–(iv) on a columnar day — the per-day kernel.
+
+        This is the one way into a day: ``table`` comes from
+        :meth:`~repro.bgp.stream.RouteStream.pair_table_on` (or
+        :meth:`~repro.bgp.rib.PairTable.from_pairs` over
+        :func:`~repro.bgp.stream.prefix_origin_pairs` for a day of
+        records).  Of step (i)'s cleaning rules, the bogon rule runs
+        here, per pair; the two AS-path rules need routes, so the
+        stream applies them before aggregating.
 
         Everything runs over the table's flat integer columns
         (differential tests pin byte-identical output and counter
@@ -270,8 +230,7 @@ class DelegationInference:
         (``kernel.columnar.filter`` / ``kernel.columnar.cover``).
         """
         rows = self._table_delegation_rows(
-            table, total_monitors, date, result,
-            pre_sanitized=pre_sanitized, metrics=metrics,
+            table, total_monitors, date, result, metrics=metrics,
         )
         return [
             BgpDelegation(
@@ -292,7 +251,6 @@ class DelegationInference:
         date: datetime.date,
         result: Optional[InferenceResult] = None,
         *,
-        pre_sanitized: bool = False,
         metrics: MetricsRegistry = NULL,
     ) -> List[Tuple[int, int, int, int]]:
         """The columnar kernel proper, staying in integer space.
@@ -312,7 +270,6 @@ class DelegationInference:
 
         with metrics.span("kernel.columnar.filter"):
             needed = config.required_monitors(total_monitors)
-            check_bogon = config.sanitize and not pre_sanitized
             intervals = _BOGON_INTERVALS
             interval_count = len(intervals)
             host_bits = _HOST_BITS
@@ -324,31 +281,28 @@ class DelegationInference:
             keep_origin = surviving_origins.append
             j = 0
             for i, key in enumerate(keys):
-                if check_bogon:
-                    network = key >> 6
-                    # Entry networks ascend with the sorted keys, so
-                    # the interval cursor only ever moves forward.
-                    while j < interval_count and intervals[j][1] < network:
-                        j += 1
-                    if j < interval_count and intervals[j][0] <= (
-                        network | host_bits[key & 0x3F]
-                    ):
-                        bogon_dropped += 1
-                        continue
+                network = key >> 6
+                # Entry networks ascend with the sorted keys, so the
+                # interval cursor only ever moves forward.
+                while j < interval_count and intervals[j][1] < network:
+                    j += 1
+                if j < interval_count and intervals[j][0] <= (
+                    network | host_bits[key & 0x3F]
+                ):
+                    bogon_dropped += 1
+                    continue
                 if monitor_counts[i] < needed:
                     visibility_dropped += 1
                     continue
                 if not flags[i]:
-                    # Non-unique origins (AS_SET or MOAS) never appear
-                    # on either side of a delegation, so — matching the
-                    # reference — they are dropped and counted under
-                    # both settings of ``drop_non_unique_origins``.
+                    # Step (iii): non-unique origins (AS_SET or MOAS)
+                    # never appear on either side of a delegation.
                     origin_dropped += 1
                     continue
                 keep_key(key)
                 keep_origin(origins[i])
             if result is not None:
-                result.sanitize_stats.bogon_prefix += bogon_dropped
+                result.pairs_dropped_bogon += bogon_dropped
                 result.pairs_seen += len(keys) - bogon_dropped
                 result.pairs_dropped_visibility += visibility_dropped
                 result.pairs_dropped_origin += origin_dropped

@@ -149,7 +149,10 @@ class ArchiveStreamFactory:
         preserve the size are considered the same input.
         """
         base = pathlib.Path(self.archive_dir)
-        digest = hashlib.sha256(b"archive:")
+        # The tag stands for what ``pair_table_on`` keeps of the files
+        # (v2: no route that breaks an AS-path rule).  Change it with
+        # that, so input shards of another reading become misses.
+        digest = hashlib.sha256(b"archive:v2:")
         for path in sorted(base.rglob("*.jsonl")):
             stat = path.stat()
             entry = f"{path.relative_to(base)}:{stat.st_size}"
@@ -199,9 +202,7 @@ def _cache_key(
         "schema": CACHE_SCHEMA,
         "date": date.isoformat(),
         "visibility_threshold": repr(config.visibility_threshold),
-        "drop_non_unique_origins": config.drop_non_unique_origins,
         "same_org_filter": config.same_org_filter,
-        "sanitize": config.sanitize,
         "input": input_fingerprint,
         "as2org": as2org_fingerprint if config.same_org_filter else None,
     })
@@ -287,7 +288,7 @@ def _fold_day(result: InferenceResult, payload: dict) -> None:
     result.delegations_dropped_same_org += counters[
         "delegations_dropped_same_org"
     ]
-    result.sanitize_stats.bogon_prefix += counters["bogon_prefix"]
+    result.pairs_dropped_bogon += counters["bogon_prefix"]
     result.daily.record_quads(payload["date"], payload["delegations"])
 
 
@@ -604,7 +605,7 @@ def _compute_day_payload(
             "pairs_dropped_origin": scratch.pairs_dropped_origin,
             "delegations_dropped_same_org":
                 scratch.delegations_dropped_same_org,
-            "bogon_prefix": scratch.sanitize_stats.bogon_prefix,
+            "bogon_prefix": scratch.pairs_dropped_bogon,
         },
     }
 

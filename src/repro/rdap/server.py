@@ -185,9 +185,6 @@ class RdapServer:
                 retry_after_seconds=retry_after,
             )
 
-    # Backwards-compatible private alias (pre-serving-layer callers).
-    _check_rate = check_rate
-
     # -- lookups --------------------------------------------------------------
 
     def lookup_ip(
@@ -204,7 +201,7 @@ class RdapServer:
         :class:`~repro.errors.RdapNotFoundError` when nothing matches
         and :class:`~repro.errors.RdapRateLimitError` when throttled.
         """
-        self._check_rate(client_id, now)
+        self.check_rate(client_id, now)
         return self.lookup_object(prefix)
 
     def lookup_object(self, prefix: IPv4Prefix) -> Dict[str, object]:

@@ -158,9 +158,12 @@ class TestStream:
             return [Announcement(p("101.100.0.0/24"), 30)]
 
         stream = RouteStream(system, source=source)
-        days = list(stream.days(D(2020, 1, 1), D(2020, 1, 4)))
+        days = [
+            list(stream.records_on(date))
+            for date in date_range(D(2020, 1, 1), D(2020, 1, 4))
+        ]
         assert len(days) == 3
-        assert all(len(records) == 4 for _date, records in days)
+        assert all(len(records) == 4 for records in days)
         assert stream.monitor_count() == 4
 
     def test_archive_stream(self, system, tmp_path):

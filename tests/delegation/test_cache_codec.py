@@ -87,7 +87,7 @@ def _read(store):
             "pairs_dropped_origin": result.pairs_dropped_origin,
             "delegations_dropped_same_org":
                 result.delegations_dropped_same_org,
-            "bogon_prefix": result.sanitize_stats.bogon_prefix,
+            "bogon_prefix": result.pairs_dropped_bogon,
         },
     })
 

@@ -67,7 +67,7 @@ def _counters(result):
         result.pairs_dropped_visibility,
         result.pairs_dropped_origin,
         result.delegations_dropped_same_org,
-        result.sanitize_stats.bogon_prefix,
+        result.pairs_dropped_bogon,
     )
 
 

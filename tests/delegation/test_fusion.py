@@ -138,10 +138,9 @@ class TestWorldFusion:
         inference = DelegationInference(
             InferenceConfig.extended(), world.as2org()
         )
-        bgp_found = inference.infer_day_from_pairs(
-            world.stream().pairs_on(date),
-            world.stream().monitor_count(),
-            date,
+        stream = world.stream()
+        bgp_found = inference.infer_day_from_table(
+            stream.pair_table_on(date), stream.monitor_count(), date
         )
         rpki_found = world.rpki().delegations_on(world.rpki().dates()[-1])
         client = world.rdap_client()

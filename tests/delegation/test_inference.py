@@ -8,7 +8,8 @@ from repro.asorg.as2org import As2OrgDataset, As2OrgSnapshot, Organization
 from repro.bgp.collector import Collector, CollectorSystem
 from repro.bgp.message import Announcement
 from repro.bgp.propagation import PropagationModel
-from repro.bgp.stream import RouteStream
+from repro.bgp.rib import PairTable
+from repro.bgp.stream import RouteStream, prefix_origin_pairs
 from repro.bgp.topology import ASTopology
 from repro.delegation.consistency import ConsistencyRule
 from repro.delegation.inference import (
@@ -64,10 +65,17 @@ def as2org():
     return dataset
 
 
+def day_table(system, announcements, date=D(2020, 1, 1)):
+    """The day's records, aggregated into the kernel's input."""
+    records = system.records_for_day(announcements, date)
+    return PairTable.from_pairs(prefix_origin_pairs(records))
+
+
 def run_day(system, announcements, config, as2org=None, date=D(2020, 1, 1)):
     inference = DelegationInference(config, as2org)
-    records = system.records_for_day(announcements, date)
-    return inference.infer_day(records, 4, date)
+    return inference.infer_day_from_table(
+        day_table(system, announcements, date), 4, date
+    )
 
 
 class TestBaseAlgorithm:
@@ -120,8 +128,9 @@ class TestBaseAlgorithm:
             daily=DailyDelegations(), config=InferenceConfig.baseline()
         )
         inference = DelegationInference(InferenceConfig.baseline())
-        records = system.records_for_day(announcements, D(2020, 1, 1))
-        found = inference.infer_day(records, 4, D(2020, 1, 1), result)
+        found = inference.infer_day_from_table(
+            day_table(system, announcements), 4, D(2020, 1, 1), result
+        )
         assert found == []
         assert result.pairs_dropped_visibility == 1
 
@@ -197,8 +206,9 @@ class TestVisibilityBoundary:
             p("101.0.0.0/16"): (OriginSet.single(30), total_monitors),
             p("101.0.4.0/24"): (OriginSet.single(31), monitor_count),
         }
-        DelegationInference(config).infer_day_from_pairs(
-            pairs, total_monitors, D(2020, 1, 1), result
+        DelegationInference(config).infer_day_from_table(
+            PairTable.from_pairs(pairs), total_monitors, D(2020, 1, 1),
+            result,
         )
         return result
 
@@ -305,4 +315,6 @@ class TestExtensions:
     def test_invalid_monitor_count(self, system, as2org):
         inference = DelegationInference(InferenceConfig(), as2org)
         with pytest.raises(ReproError):
-            inference.infer_day([], 0, D(2020, 1, 1))
+            inference.infer_day_from_table(
+                PairTable.from_pairs({}), 0, D(2020, 1, 1)
+            )

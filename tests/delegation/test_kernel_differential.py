@@ -14,7 +14,7 @@ import pytest
 from repro.bgp.collector import Collector, CollectorSystem
 from repro.bgp.message import Announcement
 from repro.bgp.propagation import PropagationModel
-from repro.bgp.stream import RouteStream
+from repro.bgp.stream import RouteStream, prefix_origin_pairs
 from repro.bgp.topology import ASTopology
 from repro.delegation import (
     DelegationInference,
@@ -50,7 +50,7 @@ def _counters(result):
         result.pairs_dropped_visibility,
         result.pairs_dropped_origin,
         result.delegations_dropped_same_org,
-        result.sanitize_stats.bogon_prefix,
+        result.pairs_dropped_bogon,
     )
 
 
@@ -119,37 +119,21 @@ class TestBogonDifferential:
         from repro.delegation import DailyDelegations, InferenceResult
 
         config = InferenceConfig.baseline()
-        results = {}
-        for name, inference in [
-            ("columnar", DelegationInference(config)),
-            ("reference", ReferenceInference(config)),
-        ]:
-            pairs = stream.pairs_on(D(2020, 1, 1))
-            result = InferenceResult(DailyDelegations(), config)
-            delegations = inference.infer_day_from_pairs(
-                pairs, stream.monitor_count(), D(2020, 1, 1), result,
-                pre_sanitized=False,
-            )
-            results[name] = (delegations, result)
-        columnar, reference = results["columnar"], results["reference"]
-        assert sorted(d.key() for d in columnar[0]) == \
-            sorted(d.key() for d in reference[0])
-        assert _counters(columnar[1]) == _counters(reference[1])
-        assert columnar[1].sanitize_stats.bogon_prefix == 3
-
-    def test_pre_sanitized_skips_bogon_filter(self, stream):
-        from repro.delegation import DailyDelegations, InferenceResult
-
-        config = InferenceConfig.baseline()
-        inference = DelegationInference(config)
-        pairs = stream.pairs_on(D(2020, 1, 1))
-        result = InferenceResult(DailyDelegations(), config)
-        inference.infer_day_from_pairs(
-            pairs, stream.monitor_count(), D(2020, 1, 1), result,
-            pre_sanitized=True,
+        date = D(2020, 1, 1)
+        columnar = InferenceResult(DailyDelegations(), config)
+        found = DelegationInference(config).infer_day_from_table(
+            stream.pair_table_on(date), stream.monitor_count(), date,
+            columnar,
         )
-        assert result.sanitize_stats.bogon_prefix == 0
-        assert result.pairs_seen == len(pairs)
+        reference = InferenceResult(DailyDelegations(), config)
+        expected = ReferenceInference(config).infer_day_from_pairs(
+            prefix_origin_pairs(stream.records_on(date)),
+            stream.monitor_count(), date, reference,
+        )
+        assert sorted(d.key() for d in found) == \
+            sorted(d.key() for d in expected)
+        assert _counters(columnar) == _counters(reference)
+        assert columnar.pairs_dropped_bogon == 3
 
 
 class TestRunnerDifferential:

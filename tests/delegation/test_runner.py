@@ -93,8 +93,8 @@ class TestEquivalence:
                 == sequential.pairs_dropped_origin)
         assert (parallel.delegations_dropped_same_org
                 == sequential.delegations_dropped_same_org)
-        assert (parallel.sanitize_stats.bogon_prefix
-                == sequential.sanitize_stats.bogon_prefix)
+        assert (parallel.pairs_dropped_bogon
+                == sequential.pairs_dropped_bogon)
 
     def test_in_process_path_matches(self, sequential, as2org, tmp_path):
         # jobs=1 never forks, so unpicklable factories are fine here.

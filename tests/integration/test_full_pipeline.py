@@ -61,10 +61,9 @@ class TestInferenceVsGroundTruth:
     def test_baseline_keeps_intra_org(self, world):
         date = world.config.bgp_start + datetime.timedelta(days=10)
         baseline = DelegationInference(InferenceConfig.baseline())
-        found = baseline.infer_day_from_pairs(
-            world.stream().pairs_on(date),
-            world.stream().monitor_count(),
-            date,
+        stream = world.stream()
+        found = baseline.infer_day_from_table(
+            stream.pair_table_on(date), stream.monitor_count(), date
         )
         intra = {spec.prefix for spec in world.delegation_plan().intra_org()}
         assert intra & {d.prefix for d in found}
@@ -86,10 +85,9 @@ class TestInferenceVsGroundTruth:
         inference = DelegationInference(
             InferenceConfig.extended(), world.as2org()
         )
-        found = inference.infer_day_from_pairs(
-            world.stream().pairs_on(date),
-            world.stream().monitor_count(),
-            date,
+        stream = world.stream()
+        found = inference.infer_day_from_table(
+            stream.pair_table_on(date), stream.monitor_count(), date
         )
         by_prefix = {
             spec.prefix: spec for spec in world.delegation_plan().cross_org()
@@ -148,12 +146,15 @@ class TestArchiveBackedInference:
         inference = DelegationInference(
             InferenceConfig.extended(), world.as2org()
         )
+        archive_table = archive_stream.pair_table_on(date)
+        memory_table = memory_stream.pair_table_on(date)
+        assert list(archive_table.rows()) == list(memory_table.rows())
         monitors = memory_stream.monitor_count()
-        from_archive = inference.infer_day_from_pairs(
-            archive_stream.pairs_on(date), monitors, date
+        from_archive = inference.infer_day_from_table(
+            archive_table, monitors, date
         )
-        from_memory = inference.infer_day_from_pairs(
-            memory_stream.pairs_on(date), monitors, date
+        from_memory = inference.infer_day_from_table(
+            memory_table, monitors, date
         )
         assert {d.key() for d in from_archive} == {
             d.key() for d in from_memory

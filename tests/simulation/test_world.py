@@ -133,14 +133,17 @@ class TestWhoisWorld:
 
 class TestRoutingWorld:
     def test_pairs_match_record_path(self, world):
-        """The fast pair path equals record-level aggregation."""
+        """The packed day table equals record-level aggregation."""
+        from repro.bgp.rib import PairTable
         from repro.bgp.stream import prefix_origin_pairs
 
         date = D(2020, 1, 20)
         stream = world.stream()
-        fast = stream.pairs_on(date)
-        slow = prefix_origin_pairs(stream.records_on(date))
-        assert fast == slow
+        fast = stream.pair_table_on(date)
+        slow = PairTable.from_pairs(
+            prefix_origin_pairs(stream.records_on(date))
+        )
+        assert list(fast.rows()) == list(slow.rows())
 
     def test_monitor_count(self, world):
         expected = (
@@ -151,12 +154,17 @@ class TestRoutingWorld:
 
     def test_holdings_announced_every_day(self, world):
         date = D(2020, 2, 1)
-        pairs = world.stream().pairs_on(date)
+        pairs = {
+            prefix: (origin, count)
+            for prefix, origin, count in world.stream().pair_table_on(
+                date
+            ).rows()
+        }
         for org in world.lirs():
             for holding in org.holdings:
                 assert holding in pairs
-                origin_set, count = pairs[holding]
-                assert origin_set.sole_origin() == org.primary_asn
+                origin, count = pairs[holding]
+                assert origin == org.primary_asn
                 assert count == world.stream().monitor_count()
 
     def test_onoff_specs_toggle(self, world):

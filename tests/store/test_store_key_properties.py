@@ -3,9 +3,8 @@
 One store directory serves two consecutive runs, ``(seed A, config
 X)`` and then ``(seed B, config Y)``.  Run B must return exactly what
 its storeless run computes.  It may serve a day from a result shard
-only when the seed and every result-key field (``visibility_threshold``,
-``drop_non_unique_origins``, ``same_org_filter``, ``sanitize``) match,
-and then it serves every day from one.  Rule (v) runs after the fan-in
+only when the seed and both result-key fields (``visibility_threshold``
+and ``same_org_filter``) match, and then it serves every day from one.  Rule (v) runs after the fan-in
 and is not part of the result key, so two configs that differ only in
 ``consistency_rule`` share their shards, yet each returns its own
 filled days.  Input keys are the stream factory's fingerprint, which
@@ -43,12 +42,7 @@ REGRESSION_SEEDS = []
 
 START = small_scenario().bgp_start
 END = START + datetime.timedelta(days=91)
-RESULT_KEY_FIELDS = (
-    "visibility_threshold",
-    "drop_non_unique_origins",
-    "same_org_filter",
-    "sanitize",
-)
+RESULT_KEY_FIELDS = ("visibility_threshold", "same_org_filter")
 
 seeds = st.sampled_from([1, 2])
 steps = st.sampled_from([30, 45])
@@ -59,10 +53,8 @@ rules = st.sampled_from([
 configs = st.builds(
     InferenceConfig,
     visibility_threshold=st.sampled_from([0.3, 0.5]),
-    drop_non_unique_origins=st.booleans(),
     same_org_filter=st.booleans(),
     consistency_rule=rules,
-    sanitize=st.booleans(),
 )
 
 OTHER_THRESHOLD = {0.3: 0.5, 0.5: 0.3}
@@ -72,7 +64,7 @@ OTHER_THRESHOLD = {0.3: 0.5, 0.5: 0.3}
 def config_pairs(draw):
     """Two configs that differ in the rule and in at most one key field.
 
-    Independent draws would share a result key once in 16; this way
+    Independent draws would share a result key once in 4; this way
     the pairs that must hit and those that must miss both come often.
     """
     first = draw(configs)
