@@ -12,6 +12,8 @@ hammering client must see HTTP 429 with a usable ``Retry-After``.
 
 import asyncio
 import json
+import math
+import statistics
 import time
 
 from repro.rdap.server import RdapServer
@@ -26,9 +28,11 @@ REQUESTS_PER_CONNECTION = 20
 
 
 def _percentile(samples, fraction):
+    """The ``ceil(fraction * n)``-th smallest sample: the rank rule of
+    ``HistogramStats.quantile``, so client and server percentiles name
+    the same request."""
     ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * (len(ordered) - 1)))
-    return ordered[index]
+    return ordered[max(1, math.ceil(fraction * len(ordered))) - 1]
 
 
 def _stats(samples):
@@ -213,10 +217,11 @@ def _swap_metrics(engine, registry):
 def test_serve_instrumentation_overhead():
     """Histograms + windows + per-route timers cost <5% warm qps.
 
-    The same engine serves two identical warm loads, once with the
-    no-op registry and once fully instrumented; only the registry is
-    swapped between runs.  Wall-clock noise on a tiny load is real, so
-    the gate retries a few times and passes on any attempt.
+    The same engine serves identical warm loads with the no-op
+    registry and fully instrumented; only the registry is swapped
+    between runs.  A tiny load is noisy on wall clock, so the two
+    sides alternate over several repetitions and the gate compares
+    the median qps of each side.
     """
     from repro.obs import NULL, MetricsRegistry
 
@@ -263,25 +268,28 @@ def test_serve_instrumentation_overhead():
         _swap_metrics(engine, registry)
         return asyncio.run(_load())
 
-    attempts = []
-    for _ in range(3):
-        null_qps = measure(NULL)
-        real_qps = measure(MetricsRegistry())
-        overhead = 1.0 - real_qps / null_qps
-        attempts.append({
-            "null_qps": round(null_qps, 1),
-            "instrumented_qps": round(real_qps, 1),
-            "overhead_fraction": round(overhead, 4),
-        })
-        if overhead < 0.05:
-            break
+    repetitions = 7
+    null_runs, real_runs = [], []
+    for _ in range(repetitions):
+        null_runs.append(measure(NULL))
+        real_runs.append(measure(MetricsRegistry()))
+    null_qps = statistics.median(null_runs)
+    real_qps = statistics.median(real_runs)
+    overhead = 1.0 - real_qps / null_qps
     print(json.dumps(
-        {"attempts": attempts, "limit_fraction": 0.05},
+        {
+            "null_qps": [round(qps, 1) for qps in null_runs],
+            "instrumented_qps": [round(qps, 1) for qps in real_runs],
+            "median_null_qps": round(null_qps, 1),
+            "median_instrumented_qps": round(real_qps, 1),
+            "overhead_fraction": round(overhead, 4),
+            "limit_fraction": 0.05,
+        },
         indent=2, sort_keys=True,
     ))
-    best = min(a["overhead_fraction"] for a in attempts)
-    assert best < 0.05, (
-        f"instrumentation overhead {best:.1%} over 3 attempts"
+    assert overhead < 0.05, (
+        f"instrumentation overhead {overhead:.1%} in the median of "
+        f"{repetitions} interleaved repetitions"
     )
 
 
@@ -292,7 +300,9 @@ def test_client_and_server_p99_agree():
     request deep into one factor-2 bucket, so the client-side measured
     p99 and the server's exact-bucket estimate must land within one
     bucket of each other — the cross-check that the for-free
-    histograms describe reality, not just themselves.
+    histograms describe reality, not just themselves.  The client p99
+    is read with the histogram's rank rule, so both name the same
+    request.
     """
     from repro.obs import MetricsRegistry
     from repro.obs.telemetry import bucket_index

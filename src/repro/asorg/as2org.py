@@ -19,7 +19,8 @@ import datetime
 import hashlib
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.errors import DatasetError
 
@@ -70,6 +71,10 @@ class As2OrgSnapshot:
 
     def org_of(self, asn: int) -> Optional[str]:
         return self._as_to_org.get(asn)
+
+    def org_index(self) -> Mapping[int, str]:
+        """Read-only AS number → org-id view, for per-pair lookups."""
+        return MappingProxyType(self._as_to_org)
 
     def same_org(self, asn_a: int, asn_b: int) -> bool:
         """True if both ASes map to the same organization.
@@ -173,12 +178,6 @@ class As2OrgDataset:
             if snapshot_date >= date:
                 return self._snapshots[snapshot_date]
         return self._snapshots[dates[-1]]
-
-    def same_org(
-        self, asn_a: int, asn_b: int, date: datetime.date
-    ) -> bool:
-        """Same-organization test against the next available snapshot."""
-        return self.snapshot_for(date).same_org(asn_a, asn_b)
 
     def fingerprint(self) -> str:
         """Content hash of every snapshot (stable across processes).

@@ -25,32 +25,36 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from itertools import repeat
+from operator import and_, itemgetter, rshift
+from typing import List, Optional, Sequence, Tuple
 
 from repro.asorg.as2org import As2OrgDataset
 from repro.bgp.rib import PairTable
 from repro.bgp.stream import RouteStream
 from repro.delegation.consistency import ConsistencyRule, fill_gaps
-from repro.delegation.model import (
-    BgpDelegation,
-    DailyDelegations,
-    pack_quads,
-)
+from repro.delegation.model import BgpDelegation, DailyDelegations
 from repro.errors import ReproError
 from repro.netbase.bogons import BOGON_PREFIXES
-from repro.netbase.lpm import _HOST_BITS, nearest_strict_covers
+from repro.netbase.lpm import _HOST_BITS
 from repro.netbase.prefix import IPv4Prefix
 from repro.obs.metrics import NULL, MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
 #: The bogon list as sorted, disjoint ``(first, last)`` address
-#: intervals — the batch bogon filter's two-pointer partner.  Overlap
-#: with any interval is exactly :func:`~repro.netbase.bogons.is_bogon`
-#: (covering either direction is an interval overlap).
+#: intervals — the kernel's interval cursor walks it alongside the
+#: sorted keys.  Overlap with any interval is exactly
+#: :func:`~repro.netbase.bogons.is_bogon` (covering either direction is
+#: an interval overlap).  The last interval is a sentinel past every
+#: address: no key reaches it, and the cursor never runs off the end.
 _BOGON_INTERVALS: Tuple[Tuple[int, int], ...] = tuple(
     sorted((p.network, p.broadcast) for p in BOGON_PREFIXES)
-)
+) + ((1 << 32, 1 << 32),)
+
+#: The bottom of the kernel's nesting chain: it ends past every
+#: address, so it is never popped, and its key of -1 means "no cover".
+_NO_COVER = (1 << 32, -1, -1)
 
 
 def record_pipeline_counters(
@@ -79,17 +83,21 @@ def record_pipeline_counters(
     metrics.inc("pipeline.delegations", delegations_total)
 
 
-def rows_column(rows: Iterable[Tuple[int, int, int, int]]) -> array:
+def rows_column(rows: Sequence[Tuple[int, int, int, int]]) -> array:
     """One day's packed delegation column from the kernel's rows.
 
     Rows come key-ascending with one row per key, so the quads
     ``(network, length, delegator, delegatee)`` come out sorted and
-    free of duplicates, as :class:`DailyDelegations` keeps them.
+    free of duplicates, as :class:`DailyDelegations` keeps them.  Each
+    word of the quad is one strided slice assignment.
     """
-    return pack_quads(
-        (key >> 6, key & 0x3F, delegator, delegatee)
-        for key, delegator, delegatee, _cover in rows
-    )
+    column = array("I", bytes(16 * len(rows)))
+    keys = list(map(itemgetter(0), rows))
+    column[0::4] = array("I", map(rshift, keys, repeat(6)))
+    column[1::4] = array("I", map(and_, keys, repeat(0x3F)))
+    column[2::4] = array("I", map(itemgetter(1), rows))
+    column[3::4] = array("I", map(itemgetter(2), rows))
+    return column
 
 
 @dataclass(frozen=True)
@@ -209,25 +217,24 @@ class DelegationInference:
         here, per pair; the two AS-path rules need routes, so the
         stream applies them before aggregating.
 
-        Everything runs over the table's flat integer columns
-        (differential tests pin byte-identical output and counter
-        parity against the original trie/dict implementation, kept as
-        the test oracle ``tests/delegation/reference_kernel.py``):
+        Everything runs in one pass over the table's flat integer
+        columns (differential tests pin byte-identical output and
+        counter parity against the original trie/dict implementation,
+        kept as the test oracle ``tests/delegation/reference_kernel.py``):
 
-        - one fused pass applies bogon (two-pointer against the sorted
-          interval list), visibility and unique-origin filters, with
-          the same per-filter counting as the reference,
-        - the Krenc–Feldmann core — each survivor's most-specific
-          *strictly* covering survivor — is one O(n) stack pass over
-          the already-sorted keys
-          (:func:`~repro.netbase.lpm.nearest_strict_covers`) instead
-          of n trie walks,
-        - the as2org snapshot for ``date`` is resolved once, not per
-          candidate delegation.
+        - each pair meets the bogon (an interval cursor over the sorted
+          bogon intervals), visibility and unique-origin filters in
+          turn, with the same per-filter counting as the reference,
+        - each survivor's most-specific *strictly* covering survivor —
+          the Krenc–Feldmann core — is the top of a stack holding the
+          open nesting chain of the already-sorted keys, instead of n
+          trie walks,
+        - the as2org snapshot for ``date`` is resolved once, and each
+          candidate delegation looks both ASNs up in it directly.
 
         ``IPv4Prefix`` objects are materialized only for the surviving
-        delegations.  ``metrics`` receives the two kernel stage timers
-        (``kernel.columnar.filter`` / ``kernel.columnar.cover``).
+        delegations.  ``metrics`` receives the pass's one stage timer,
+        ``kernel.columnar``.
         """
         rows = self._table_delegation_rows(
             table, total_monitors, date, result, metrics=metrics,
@@ -265,74 +272,73 @@ class DelegationInference:
             raise ReproError("total_monitors must be positive")
         config = self._config
         keys = table.keys
-        flags = table.flags
-        monitor_counts = table.monitor_counts
+        org_of = None
+        if config.same_org_filter:
+            assert self._as2org is not None
+            org_of = self._as2org.snapshot_for(date).org_index()
 
-        with metrics.span("kernel.columnar.filter"):
+        with metrics.span("kernel.columnar"):
             needed = config.required_monitors(total_monitors)
-            intervals = _BOGON_INTERVALS
-            interval_count = len(intervals)
             host_bits = _HOST_BITS
-            origins = table.origins
             bogon_dropped = visibility_dropped = origin_dropped = 0
-            surviving_keys = array("Q")
-            surviving_origins: List[int] = []
-            keep_key = surviving_keys.append
-            keep_origin = surviving_origins.append
-            j = 0
-            for i, key in enumerate(keys):
+            same_org_dropped = 0
+            rows: List[Tuple[int, int, int, int]] = []
+            emit = rows.append
+            # The current bogon interval lives in locals; entry networks
+            # ascend with the sorted keys, so the cursor only ever moves
+            # forward, and the sentinel past every address stops it.
+            intervals = iter(_BOGON_INTERVALS)
+            low, high = next(intervals)
+            # The open nesting chain of survivors as ``(broadcast, key,
+            # origin)``: CIDR blocks nest or are disjoint and covering
+            # keys sort first, so once the entries that end before a
+            # survivor are popped, the top is its nearest strict cover.
+            # The bottom entry reaches past every address and is never
+            # popped; its key of -1 marks "no cover".
+            chain = [_NO_COVER]
+            pop = chain.pop
+            push = chain.append
+            cover_end, cover_key, delegator = _NO_COVER
+            for key, origin, flag, seen in zip(
+                keys, table.origins, table.flags, table.monitor_counts
+            ):
                 network = key >> 6
-                # Entry networks ascend with the sorted keys, so the
-                # interval cursor only ever moves forward.
-                while j < interval_count and intervals[j][1] < network:
-                    j += 1
-                if j < interval_count and intervals[j][0] <= (
-                    network | host_bits[key & 0x3F]
-                ):
+                while high < network:
+                    low, high = next(intervals)
+                broadcast = network | host_bits[key & 0x3F]
+                if low <= broadcast:
                     bogon_dropped += 1
                     continue
-                if monitor_counts[i] < needed:
+                if seen < needed:
                     visibility_dropped += 1
                     continue
-                if not flags[i]:
+                if not flag:
                     # Step (iii): non-unique origins (AS_SET or MOAS)
                     # never appear on either side of a delegation.
                     origin_dropped += 1
                     continue
-                keep_key(key)
-                keep_origin(origins[i])
+                if cover_end < network:
+                    pop()
+                    while chain[-1][0] < network:
+                        pop()
+                    cover_end, cover_key, delegator = chain[-1]
+                if cover_key >= 0 and delegator != origin:
+                    # (iv)+ same-organization filter; an unmapped
+                    # delegator is never the delegatee's organization.
+                    if org_of is not None and (
+                        (org := org_of.get(delegator)) is not None
+                        and org == org_of.get(origin)
+                    ):
+                        same_org_dropped += 1
+                    else:
+                        emit((key, delegator, origin, cover_key))
+                push((broadcast, key, origin))
+                cover_end, cover_key, delegator = broadcast, key, origin
             if result is not None:
                 result.pairs_dropped_bogon += bogon_dropped
                 result.pairs_seen += len(keys) - bogon_dropped
                 result.pairs_dropped_visibility += visibility_dropped
                 result.pairs_dropped_origin += origin_dropped
-
-        with metrics.span("kernel.columnar.cover"):
-            covers = nearest_strict_covers(surviving_keys)
-            same_org = None
-            if config.same_org_filter:
-                assert self._as2org is not None
-                same_org = self._as2org.snapshot_for(date).same_org
-            rows: List[Tuple[int, int, int, int]] = []
-            same_org_dropped = 0
-            for i, cover_index in enumerate(covers):
-                if cover_index < 0:
-                    continue
-                delegator = surviving_origins[cover_index]
-                delegatee = surviving_origins[i]
-                if delegator == delegatee:
-                    continue
-                # (iv)+ same-organization filter.
-                if same_org is not None and same_org(delegator, delegatee):
-                    same_org_dropped += 1
-                    continue
-                rows.append(
-                    (
-                        surviving_keys[i], delegator, delegatee,
-                        surviving_keys[cover_index],
-                    )
-                )
-            if result is not None:
                 result.delegations_dropped_same_org += same_org_dropped
         return rows
 

@@ -16,10 +16,11 @@ dominates the profile, so this module provides the same queries on a
   one shot from items; ``longest_match`` / ``covering`` / ``covered``
   answer in O(L log n) where L is the number of *distinct* prefix
   lengths present (≤ 33, typically ~10).
-- :func:`nearest_strict_covers` — the batch kernel behind the
-  Krenc–Feldmann core step: for *every* entry of a sorted key array,
-  the index of its most-specific strictly-covering entry, computed in
-  one O(n) stack pass instead of n trie walks.
+- :func:`nearest_strict_covers` — for *every* entry of a sorted key
+  array, the index of its most-specific strictly-covering entry,
+  computed in one O(n) stack pass instead of n trie walks.  RPKI
+  delegation extraction calls it; the per-day delegation kernel runs
+  the same stack discipline inline, fused with its filters.
 
 A hypothesis property suite (``tests/netbase/test_lpm_properties.py``)
 pins the equivalence of every query family against the trie, including

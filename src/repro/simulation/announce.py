@@ -15,8 +15,9 @@ independently and reproducibly.
 
 A day is an :class:`~repro.bgp.message.AnnouncementDay`, not a list of
 ``Announcement`` objects: the holdings and specs are packed once into
-key-sorted columns with each row's schedule, and a day is one scan of
-those schedules plus at most three noise rows.
+key-sorted columns with each row's schedule, and a day is the
+schedule's per-row flags (a cached window mask, re-tested only on the
+rows with an on/off cycle) plus at most three noise rows.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ from __future__ import annotations
 import datetime
 import random
 from array import array
+from bisect import bisect_right
+from itertools import compress
+from operator import lt
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -79,37 +82,88 @@ class AnnouncementSchedule:
     """:meth:`DelegationSpec.announced_on` for many rows at once.
 
     Row ``i`` follows ``specs[i]``; a ``None`` row is announced on
-    every date.  The schedules are packed into ``array('i')`` columns
-    of date ordinals and duty cycles, so :meth:`announced` is one scan.
+    every date.  Whether a row's window ``[active_from, active_until)``
+    holds a date only changes where a window opens or closes, so the
+    dates between two such boundaries form an *epoch* sharing one
+    window-only mask.  The mask of the last epoch asked for is cached,
+    with how many windows had opened and closed by then.  A later
+    epoch sets the rows that opened since and clears the rows that
+    closed since; an earlier one rebuilds the mask with one scan.
+    :meth:`announced` then copies the mask and re-tests only the rows
+    with an on-off cycle.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = (
+        "_starts", "_ends", "_open_rows", "_open_ordinals", "_close_rows",
+        "_close_ordinals", "_cycles", "_opened", "_closed", "_mask",
+    )
 
     def __init__(self, specs: Sequence[Optional[DelegationSpec]]):
-        def column(always: int, value) -> "array":
-            return array("i", (
-                always if s is None else value(s) for s in specs
-            ))
-
-        # A row without a spec is active from the earliest ordinal
-        # with a one-day, always-on cycle.
-        self._columns = (
-            column(1, lambda s: s.active_from.toordinal()),
-            column(_OPEN_END, lambda s: _OPEN_END if s.active_until is None
-                   else s.active_until.toordinal()),
-            column(1, lambda s: 1 if s.onoff is None
-                   else s.onoff.period_days),
-            column(1, lambda s: 1 if s.onoff is None
-                   else s.onoff.period_days - s.onoff.off_days),
-            column(0, lambda s: 0 if s.onoff is None else s.onoff.phase),
+        # A row without a spec is active from the earliest ordinal.
+        self._starts = array("i", (
+            1 if s is None else s.active_from.toordinal() for s in specs
+        ))
+        self._ends = array("i", (
+            _OPEN_END if s is None or s.active_until is None
+            else s.active_until.toordinal()
+            for s in specs
+        ))
+        # Rows by the ordinal their window opens on, and by the one it
+        # closes on; an empty window never opens.
+        has_window = bytes(map(lt, self._starts, self._ends))
+        windows = list(compress(range(len(specs)), has_window))
+        self._open_rows = array(
+            "I", sorted(windows, key=self._starts.__getitem__)
         )
-
-    def announced(self, ordinal: int) -> List[bool]:
-        """Per row: is it announced on date ordinal ``ordinal``?"""
-        return [
-            start <= ordinal < end and (ordinal + phase) % period < on
-            for start, end, period, on, phase in zip(*self._columns)
+        self._open_ordinals = array(
+            "i", sorted(compress(self._starts, has_window))
+        )
+        self._close_rows = array(
+            "I", sorted(windows, key=self._ends.__getitem__)
+        )
+        self._close_ordinals = array(
+            "i", sorted(compress(self._ends, has_window))
+        )
+        cycling = [
+            (row, s.onoff) for row, s in enumerate(specs)
+            if s is not None and s.onoff is not None
         ]
+        self._cycles = (
+            array("I", (row for row, _ in cycling)),
+            array("i", (onoff.phase for _, onoff in cycling)),
+            array("i", (onoff.period_days for _, onoff in cycling)),
+            array("i", (
+                onoff.period_days - onoff.off_days for _, onoff in cycling
+            )),
+        )
+        # Before every window opens, the mask is all zeros.
+        self._opened = self._closed = 0
+        self._mask = bytearray(len(specs))
+
+    def announced(self, ordinal: int) -> bytearray:
+        """Per row, 1 if it is announced on date ordinal ``ordinal``."""
+        opened = bisect_right(self._open_ordinals, ordinal)
+        closed = bisect_right(self._close_ordinals, ordinal)
+        if opened < self._opened or closed < self._closed:
+            self._mask = bytearray(
+                start <= ordinal < end
+                for start, end in zip(self._starts, self._ends)
+            )
+        else:
+            # A window opens before it closes, so setting every row
+            # opened since and then clearing every row closed since
+            # leaves exactly the windows holding ``ordinal``.
+            mask = self._mask
+            for row in self._open_rows[self._opened:opened]:
+                mask[row] = 1
+            for row in self._close_rows[self._closed:closed]:
+                mask[row] = 0
+        self._opened, self._closed = opened, closed
+        selected = bytearray(self._mask)
+        for row, phase, period, on in zip(*self._cycles):
+            if selected[row] and (ordinal + phase) % period >= on:
+                selected[row] = 0
+        return selected
 
 
 class DelegationPlan:

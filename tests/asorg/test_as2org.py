@@ -88,8 +88,8 @@ class TestDataset:
     def test_same_org_uses_next_snapshot(self, dataset):
         # In January's snapshot 100/101 are the same org; a February day
         # joins against April's snapshot where they differ.
-        assert dataset.same_org(100, 101, D(2020, 1, 1))
-        assert not dataset.same_org(100, 101, D(2020, 2, 1))
+        assert dataset.snapshot_for(D(2020, 1, 1)).same_org(100, 101)
+        assert not dataset.snapshot_for(D(2020, 2, 1)).same_org(100, 101)
 
     def test_empty_dataset(self):
         with pytest.raises(DatasetError):

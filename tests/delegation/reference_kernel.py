@@ -14,6 +14,7 @@ does.
 import datetime
 from typing import Dict, List, Optional, Tuple
 
+from repro.asorg.as2org import As2OrgDataset
 from repro.bgp.stream import RouteStream, date_range, prefix_origin_pairs
 from repro.delegation.consistency import fill_gaps
 from repro.delegation.inference import DelegationInference, InferenceResult
@@ -22,6 +23,14 @@ from repro.errors import ReproError
 from repro.netbase.bogons import is_bogon
 from repro.netbase.prefix import IPv4Prefix
 from repro.netbase.trie import PrefixTrie
+
+
+def same_org(
+    dataset: As2OrgDataset, asn_a: int, asn_b: int, date: datetime.date
+) -> bool:
+    """Same-organization test against the next available snapshot,
+    one snapshot lookup per candidate delegation."""
+    return dataset.snapshot_for(date).same_org(asn_a, asn_b)
 
 
 class ReferenceInference(DelegationInference):
@@ -91,7 +100,7 @@ class ReferenceInference(DelegationInference):
             # (iv)+ same-organization filter.
             if config.same_org_filter:
                 assert self._as2org is not None
-                if self._as2org.same_org(delegator, delegatee, date):
+                if same_org(self._as2org, delegator, delegatee, date):
                     if result is not None:
                         result.delegations_dropped_same_org += 1
                     continue
