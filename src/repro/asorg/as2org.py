@@ -19,8 +19,7 @@ import datetime
 import hashlib
 import pathlib
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.errors import DatasetError
 
@@ -71,10 +70,6 @@ class As2OrgSnapshot:
 
     def org_of(self, asn: int) -> Optional[str]:
         return self._as_to_org.get(asn)
-
-    def org_index(self) -> Mapping[int, str]:
-        """Read-only AS number → org-id view, for per-pair lookups."""
-        return MappingProxyType(self._as_to_org)
 
     def same_org(self, asn_a: int, asn_b: int) -> bool:
         """True if both ASes map to the same organization.

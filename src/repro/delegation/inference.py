@@ -229,8 +229,8 @@ class DelegationInference:
           the Krenc–Feldmann core — is the top of a stack holding the
           open nesting chain of the already-sorted keys, instead of n
           trie walks,
-        - the as2org snapshot for ``date`` is resolved once, and each
-          candidate delegation looks both ASNs up in it directly.
+        - the as2org snapshot for ``date`` is resolved once, not per
+          candidate delegation.
 
         ``IPv4Prefix`` objects are materialized only for the surviving
         delegations.  ``metrics`` receives the pass's one stage timer,
@@ -272,10 +272,10 @@ class DelegationInference:
             raise ReproError("total_monitors must be positive")
         config = self._config
         keys = table.keys
-        org_of = None
+        same_org = None
         if config.same_org_filter:
             assert self._as2org is not None
-            org_of = self._as2org.snapshot_for(date).org_index()
+            same_org = self._as2org.snapshot_for(date).same_org
 
         with metrics.span("kernel.columnar"):
             needed = config.required_monitors(total_monitors)
@@ -323,12 +323,8 @@ class DelegationInference:
                         pop()
                     cover_end, cover_key, delegator = chain[-1]
                 if cover_key >= 0 and delegator != origin:
-                    # (iv)+ same-organization filter; an unmapped
-                    # delegator is never the delegatee's organization.
-                    if org_of is not None and (
-                        (org := org_of.get(delegator)) is not None
-                        and org == org_of.get(origin)
-                    ):
+                    # (iv)+ same-organization filter.
+                    if same_org is not None and same_org(delegator, origin):
                         same_org_dropped += 1
                     else:
                         emit((key, delegator, origin, cover_key))

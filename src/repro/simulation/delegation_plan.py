@@ -88,41 +88,42 @@ class AnnouncementSchedule:
     window-only mask.  The mask of the last epoch asked for is cached,
     with how many windows had opened and closed by then.  A later
     epoch sets the rows that opened since and clears the rows that
-    closed since; an earlier one rebuilds the mask with one scan.
+    closed since; an earlier one starts again from the all-zero mask
+    and patches forward the same way.
     :meth:`announced` then copies the mask and re-tests only the rows
     with an on-off cycle.
     """
 
     __slots__ = (
-        "_starts", "_ends", "_open_rows", "_open_ordinals", "_close_rows",
+        "_open_rows", "_open_ordinals", "_close_rows",
         "_close_ordinals", "_cycles", "_opened", "_closed", "_mask",
     )
 
     def __init__(self, specs: Sequence[Optional[DelegationSpec]]):
         # A row without a spec is active from the earliest ordinal.
-        self._starts = array("i", (
+        starts = array("i", (
             1 if s is None else s.active_from.toordinal() for s in specs
         ))
-        self._ends = array("i", (
+        ends = array("i", (
             _OPEN_END if s is None or s.active_until is None
             else s.active_until.toordinal()
             for s in specs
         ))
         # Rows by the ordinal their window opens on, and by the one it
         # closes on; an empty window never opens.
-        has_window = bytes(map(lt, self._starts, self._ends))
+        has_window = bytes(map(lt, starts, ends))
         windows = list(compress(range(len(specs)), has_window))
         self._open_rows = array(
-            "I", sorted(windows, key=self._starts.__getitem__)
+            "I", sorted(windows, key=starts.__getitem__)
         )
         self._open_ordinals = array(
-            "i", sorted(compress(self._starts, has_window))
+            "i", sorted(compress(starts, has_window))
         )
         self._close_rows = array(
-            "I", sorted(windows, key=self._ends.__getitem__)
+            "I", sorted(windows, key=ends.__getitem__)
         )
         self._close_ordinals = array(
-            "i", sorted(compress(self._ends, has_window))
+            "i", sorted(compress(ends, has_window))
         )
         cycling = [
             (row, s.onoff) for row, s in enumerate(specs)
@@ -145,19 +146,17 @@ class AnnouncementSchedule:
         opened = bisect_right(self._open_ordinals, ordinal)
         closed = bisect_right(self._close_ordinals, ordinal)
         if opened < self._opened or closed < self._closed:
-            self._mask = bytearray(
-                start <= ordinal < end
-                for start, end in zip(self._starts, self._ends)
-            )
-        else:
-            # A window opens before it closes, so setting every row
-            # opened since and then clearing every row closed since
-            # leaves exactly the windows holding ``ordinal``.
-            mask = self._mask
-            for row in self._open_rows[self._opened:opened]:
-                mask[row] = 1
-            for row in self._close_rows[self._closed:closed]:
-                mask[row] = 0
+            # An earlier epoch: patch forward from before every window.
+            self._mask = bytearray(len(self._mask))
+            self._opened = self._closed = 0
+        # A window opens before it closes, so setting every row opened
+        # since and then clearing every row closed since leaves exactly
+        # the windows holding ``ordinal``.
+        mask = self._mask
+        for row in self._open_rows[self._opened:opened]:
+            mask[row] = 1
+        for row in self._close_rows[self._closed:closed]:
+            mask[row] = 0
         self._opened, self._closed = opened, closed
         selected = bytearray(self._mask)
         for row, phase, period, on in zip(*self._cycles):
