@@ -27,10 +27,6 @@ class BoxStats:
     maximum: float
     mean: float
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
 
 def _quantile(sorted_values: Sequence[float], q: float) -> float:
     """Linear-interpolation quantile on pre-sorted values."""

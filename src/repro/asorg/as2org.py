@@ -19,7 +19,7 @@ import datetime
 import hashlib
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.errors import DatasetError
 
@@ -67,9 +67,6 @@ class As2OrgSnapshot:
         if asn in self._as_to_org:
             raise DatasetError(f"AS{asn} already mapped")
         self._as_to_org[asn] = org_id
-
-    def org_of(self, asn: int) -> Optional[str]:
-        return self._as_to_org.get(asn)
 
     def same_org(self, asn_a: int, asn_b: int) -> bool:
         """True if both ASes map to the same organization.

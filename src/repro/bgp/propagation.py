@@ -128,15 +128,6 @@ class PropagationModel:
             state = parent[state]
         return ASPath.from_asns(hops)
 
-    def visibility_fraction(
-        self, origin: int, monitors: FrozenSet[int]
-    ) -> float:
-        """Fraction of ``monitors`` that receive routes from ``origin``."""
-        if not monitors:
-            return 0.0
-        seen = self.receivers(origin)
-        return len(frozenset(monitors) & seen) / len(monitors)
-
     def visible_monitor_masks(
         self, monitor_bits: Mapping[int, int]
     ) -> Dict[int, int]:
@@ -196,10 +187,6 @@ class PropagationModel:
                     vis[asn] = mask
                     changed = True
         return vis
-
-    def clear_cache(self) -> None:
-        """Drop memoized per-origin results (topology changed)."""
-        self._cache.clear()
 
 
 def _customers_first(topology: ASTopology) -> List[int]:

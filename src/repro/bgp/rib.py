@@ -283,16 +283,6 @@ class RoutingTable:
 
     # -- queries ----------------------------------------------------------
 
-    def route_for(self, prefix: IPv4Prefix) -> Optional[ASPath]:
-        """Exact-match route lookup."""
-        return self._routes.get(prefix)
-
-    def best_match(
-        self, prefix: IPv4Prefix
-    ) -> Optional[Tuple[IPv4Prefix, ASPath]]:
-        """Longest-prefix-match lookup (forwarding behaviour)."""
-        return self._routes.longest_match(prefix)
-
     def prefixes(self) -> Iterator[IPv4Prefix]:
         return self._routes.keys()
 

@@ -31,14 +31,6 @@ class SanitizeStats:
     def total(self) -> int:
         return self.kept + self.removed
 
-    def as_dict(self) -> dict:
-        return {
-            "kept": self.kept,
-            "bogon_prefix": self.bogon_prefix,
-            "reserved_asn": self.reserved_asn,
-            "as_path_loop": self.as_path_loop,
-        }
-
 
 def sanitize_paths(
     records: Iterable[RouteRecord],

@@ -116,10 +116,6 @@ class ASTopology:
         self._require(asn)
         return frozenset(self._peers[asn])
 
-    def tier_of(self, asn: int) -> int:
-        self._require(asn)
-        return self._tier[asn]
-
     def tier_members(self, tier: int) -> List[int]:
         return sorted(a for a, t in self._tier.items() if t == tier)
 

@@ -29,8 +29,6 @@ observability flags:
 into an append-only regression history; ``check`` compares the latest
 run with the previous run of the same kind and exits 1 on
 deterministic drift, 3 when only timings or memory peaks regressed.
-``repro obs top URL`` polls a running ``repro serve`` instance's
-``/health`` + ``/metrics`` into a live latency dashboard.
 
 Errors deriving from :class:`~repro.errors.ReproError` (bad flags,
 unwritable paths, broken inputs) exit with status 2 and a one-line
@@ -663,9 +661,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     metrics = _registry_for(args)
     if not metrics.enabled:
         # A server always keeps real metrics even without --metrics-out:
-        # /metrics, the /health window, and `repro obs top` would be
-        # empty otherwise, and the differential guarantee only concerns
-        # batch artifacts, not a long-running server.
+        # /metrics and the /health window would be empty otherwise, and
+        # the differential guarantee only concerns batch artifacts, not
+        # a long-running server.
         metrics = MetricsRegistry()
     with metrics.span("serve.load"):
         engine = QueryEngine.from_world(
@@ -744,20 +742,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "summarize":
         print(summarize_trace(load_trace(args.path), top=args.top))
     return 0
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    """``repro obs top URL`` — live dashboard over a running server."""
-    from repro.obs.top import run_top
-
-    if args.obs_command == "top":
-        return run_top(
-            args.target,
-            interval=args.interval,
-            count=args.count,
-            clear=not args.no_clear,
-        )
-    return 2  # pragma: no cover - argparse enforces the choices
 
 
 def _cmd_history(args: argparse.Namespace) -> int:
@@ -997,32 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many slowest spans to show (default 10)",
     )
     trace.set_defaults(handler=_cmd_trace)
-
-    obs = commands.add_parser(
-        "obs", help="live observability tools for a running server"
-    )
-    obs_commands = obs.add_subparsers(dest="obs_command", required=True)
-    top = obs_commands.add_parser(
-        "top",
-        help="poll /health and /metrics into a live latency dashboard",
-    )
-    top.add_argument(
-        "target",
-        help="the server's HTTP endpoint: host:port or http://host:port",
-    )
-    top.add_argument(
-        "--interval", type=float, default=2.0, metavar="S",
-        help="seconds between polls (default 2)",
-    )
-    top.add_argument(
-        "--count", type=int, default=None, metavar="N",
-        help="render N frames then exit (default: poll until Ctrl-C)",
-    )
-    top.add_argument(
-        "--no-clear", action="store_true",
-        help="append frames instead of clearing the screen (for logs)",
-    )
-    obs.set_defaults(handler=_cmd_obs)
 
     history = commands.add_parser(
         "history",

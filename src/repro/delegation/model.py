@@ -52,10 +52,6 @@ class BgpDelegation:
         """Day-independent identity (P', S, T)."""
         return (self.prefix, self.delegator_asn, self.delegatee_asn)
 
-    @property
-    def delegated_addresses(self) -> int:
-        return self.prefix.num_addresses
-
 
 class DailyDelegations:
     """Per-day delegation columns, plus address accounting.

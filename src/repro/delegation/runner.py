@@ -173,12 +173,6 @@ class RunnerStats:
     #: The shard store directory, when the run was store-backed.
     store_dir: Optional[str] = None
 
-    @property
-    def cache_hit_rate(self) -> float:
-        if self.days_total == 0:
-            return 0.0
-        return self.days_from_cache / self.days_total
-
 
 # -- per-day result payloads ----------------------------------------------
 

@@ -98,10 +98,6 @@ class MarketError(ReproError):
     """Base class for transfer/leasing market errors."""
 
 
-class OrderError(MarketError):
-    """An order submitted to the market order book is invalid."""
-
-
 class SimulationError(ReproError):
     """The world simulator was asked to do something inconsistent."""
 

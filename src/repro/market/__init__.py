@@ -6,7 +6,6 @@ Implements both sides of the paper's economics:
   Fig. 1 (doubling 2016→2019, /24–/23 size premium, no regional
   effect, consolidation from spring 2019),
 - :mod:`~repro.market.broker` — broker entities and commissions,
-- :mod:`~repro.market.orderbook` — listings and price-time matching,
 - :mod:`~repro.market.transactions` — the anonymized transaction
   dataset (the stand-in for the 2.9k-transaction broker data),
 - :mod:`~repro.market.leasing` — the 21 leasing providers of Fig. 4
@@ -20,29 +19,23 @@ from repro.market.amortization import (
     amortization_years,
 )
 from repro.market.broker import Broker, default_brokers
-from repro.market.leaseback import LeaseBackDeal
 from repro.market.leasing import (
     LeaseAgreement,
     LeasingProvider,
     ScrapeLog,
     default_leasing_providers,
 )
-from repro.market.orderbook import BuyOrder, OrderBook, SellOrder
 from repro.market.pricing import PriceModel, PriceModelConfig
 from repro.market.transactions import Transaction, TransactionDataset
 
 __all__ = [
     "AmortizationScenario",
     "Broker",
-    "BuyOrder",
     "LeaseAgreement",
-    "LeaseBackDeal",
     "LeasingProvider",
-    "OrderBook",
     "PriceModel",
     "PriceModelConfig",
     "ScrapeLog",
-    "SellOrder",
     "Transaction",
     "TransactionDataset",
     "amortization_months",

@@ -55,16 +55,6 @@ class Broker:
             return (0.0, total)
         return (total / 2.0, total / 2.0)
 
-    def seller_net(self, transaction_value: float) -> float:
-        """What the seller receives after commission."""
-        seller_pays, _ = self.commission_amounts(transaction_value)
-        return transaction_value - seller_pays
-
-    def buyer_gross(self, transaction_value: float) -> float:
-        """What the buyer pays in total including commission."""
-        _, buyer_pays = self.commission_amounts(transaction_value)
-        return transaction_value + buyer_pays
-
 
 def default_brokers() -> List[Broker]:
     """The four pricing-data brokers of §3.

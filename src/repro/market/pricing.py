@@ -151,7 +151,3 @@ class PriceModel:
         # Lognormal with unit mean: exp(N(-sigma^2/2, sigma)).
         noise = math.exp(rng.gauss(-0.5 * sigma * sigma, sigma))
         return round(mean * noise, 2)
-
-    def reference_price(self, date: datetime.date) -> float:
-        """The "IPv4.Global published price" brokers anchor on (§3)."""
-        return round(self.trend_price(date), 2)

@@ -43,10 +43,6 @@ class Transaction:
     def addresses(self) -> int:
         return 1 << (32 - self.block_length)
 
-    @property
-    def total_value(self) -> float:
-        return self.addresses * self.price_per_address
-
     def quarter(self) -> Tuple[int, int]:
         """(year, quarter) of the transaction date."""
         return (self.date.year, (self.date.month - 1) // 3 + 1)
@@ -102,14 +98,6 @@ class TransactionDataset:
         regions = set(regions)
         return TransactionDataset(
             t for t in self._transactions if t.region in regions
-        )
-
-    def excluding_regions(
-        self, regions: Iterable[RIR]
-    ) -> "TransactionDataset":
-        regions = set(regions)
-        return TransactionDataset(
-            t for t in self._transactions if t.region not in regions
         )
 
     def for_lengths(self, lengths: Iterable[int]) -> "TransactionDataset":

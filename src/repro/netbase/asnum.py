@@ -65,11 +65,6 @@ def is_private_asn(asn: int) -> bool:
     return any(first <= asn <= last for first, last in _PRIVATE_RANGES)
 
 
-def is_routable_asn(asn: int) -> bool:
-    """True if ``asn`` may legitimately appear in a public AS path."""
-    return not (is_reserved_asn(asn) or is_private_asn(asn))
-
-
 class OriginSet:
     """The origin of a prefix announcement as seen in BGP.
 

@@ -146,14 +146,6 @@ class ASPath:
         for segment in self._segments:
             yield from segment
 
-    def unique_asns(self) -> frozenset:
-        """Set of distinct AS numbers on the path."""
-        return frozenset(self.asns())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._segments
-
     def origin(self) -> OriginSet:
         """The origin of the announcement: the last path segment.
 
@@ -166,13 +158,6 @@ class ASPath:
         if last.is_set:
             return OriginSet(last.asns, from_as_set=True)
         return OriginSet.single(last.asns[-1])
-
-    def first_hop(self) -> int:
-        """The monitor-adjacent AS (first AS on the path)."""
-        if not self._segments:
-            raise ASPathError("empty AS path has no first hop")
-        first = self._segments[0]
-        return first.asns[0]
 
     # -- sanitization predicates ------------------------------------------
 
@@ -205,20 +190,6 @@ class ASPath:
     def has_reserved_asn(self) -> bool:
         """True if any AS on the path is IANA-reserved."""
         return any(is_reserved_asn(asn) for asn in self.asns())
-
-    def strip_prepending(self) -> "ASPath":
-        """Collapse consecutive duplicate ASes inside sequences."""
-        segments: List[ASPathSegment] = []
-        for segment in self._segments:
-            if segment.is_set:
-                segments.append(segment)
-                continue
-            collapsed: List[int] = []
-            for asn in segment.asns:
-                if not collapsed or collapsed[-1] != asn:
-                    collapsed.append(asn)
-            segments.append(ASPathSegment(SegmentType.SEQUENCE, collapsed))
-        return ASPath(segments)
 
     # -- protocol ----------------------------------------------------------
 

@@ -87,11 +87,6 @@ def unpack(key: int) -> Tuple[int, int]:
     return key >> 6, key & 0x3F
 
 
-def broadcast_of(key: int) -> int:
-    """Highest address covered by a packed key's prefix."""
-    return (key >> 6) | _HOST_BITS[key & 0x3F]
-
-
 def nearest_strict_covers(keys: "array") -> List[int]:
     """Most-specific strict cover for every entry of a sorted key array.
 
@@ -146,17 +141,6 @@ class SortedPrefixMap:
         self._lengths: Tuple[int, ...] = tuple(
             sorted({key & 0x3F for key in keys})
         )
-
-    @classmethod
-    def from_packed(
-        cls, keys: "array", values: List[V]
-    ) -> "SortedPrefixMap":
-        """Adopt pre-sorted, duplicate-free packed columns (no copy)."""
-        instance = cls.__new__(cls)
-        instance._keys = keys
-        instance._values = values
-        instance._lengths = tuple(sorted({key & 0x3F for key in keys}))
-        return instance
 
     # -- exact lookup --------------------------------------------------
 

@@ -160,11 +160,6 @@ class IPv4Prefix:
         """Number of addresses covered (2**(32 - length))."""
         return 1 << (ADDRESS_BITS - self._length)
 
-    @property
-    def netmask(self) -> int:
-        """The network mask as an integer."""
-        return _mask(self._length)
-
     # -- relations ----------------------------------------------------
 
     def contains_address(self, address: int) -> bool:
@@ -177,14 +172,6 @@ class IPv4Prefix:
             other._length >= self._length
             and (other._network & _mask(self._length)) == self._network
         )
-
-    def is_subnet_of(self, other: "IPv4Prefix") -> bool:
-        """True if self is equal to or more specific than ``other``."""
-        return other.covers(self)
-
-    def is_proper_subnet_of(self, other: "IPv4Prefix") -> bool:
-        """True if self is strictly more specific than ``other``."""
-        return other.covers(self) and other._length < self._length
 
     def overlaps(self, other: "IPv4Prefix") -> bool:
         """True if the two blocks share any address."""

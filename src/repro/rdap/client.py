@@ -105,10 +105,6 @@ class RdapClient:
     def clock(self) -> VirtualClock:
         return self._clock
 
-    @property
-    def backoff_policy(self) -> BackoffPolicy:
-        return self._backoff
-
     def lookup_ip(self, prefix: IPv4Prefix) -> Optional[Dict[str, object]]:
         """Query ``/ip/<prefix>``; None when the server has no object.
 

@@ -49,11 +49,6 @@ class RateLimiter:
             return 0.0
         return (1.0 - self._tokens) / self._rate
 
-    @property
-    def last_time(self) -> Optional[float]:
-        """Timestamp of the last ``try_acquire`` call, if any."""
-        return self._last_time
-
     def refilled_at(self, now: float) -> bool:
         """True when the bucket would be full again at time ``now``.
 

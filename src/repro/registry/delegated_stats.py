@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import datetime
 import enum
-import pathlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import DatasetError
 from repro.netbase.prefix import IPv4Prefix, format_address, parse_address
@@ -170,25 +169,6 @@ def available_addresses(records: Iterable[DelegatedRecord]) -> int:
         for record in records
         if record.status is DelegationStatus.AVAILABLE
     )
-
-
-def write_file(
-    rir: RIR,
-    records: Iterable[DelegatedRecord],
-    path: Union[str, pathlib.Path],
-    *,
-    file_date: datetime.date,
-) -> str:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        render_file(rir, records, file_date=file_date), encoding="utf-8"
-    )
-    return str(path)
-
-
-def read_file(path: Union[str, pathlib.Path]) -> List[DelegatedRecord]:
-    return parse_file(pathlib.Path(path).read_text(encoding="utf-8"))
 
 
 def records_from_registry(

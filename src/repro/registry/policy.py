@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import PolicyError
-from repro.registry.rir import RIR, RIRProfile, profile_for
+from repro.registry.rir import RIR, RIRProfile
 
 #: Block size cap during NORMAL phase (a /14 — generous, pre-scarcity).
 NORMAL_PHASE_MAX_LENGTH = 14
@@ -60,10 +60,6 @@ class AllocationPolicy:
 
     def __init__(self, profile: RIRProfile):
         self._profile = profile
-
-    @classmethod
-    def for_rir(cls, rir: RIR) -> "AllocationPolicy":
-        return cls(profile_for(rir))
 
     @property
     def profile(self) -> RIRProfile:

@@ -64,10 +64,6 @@ class QuarantineQueue:
         """Blocks currently in quarantine, soonest release first."""
         return tuple(self._entries)
 
-    def quarantined_addresses(self) -> int:
-        """Total addresses currently held in quarantine."""
-        return sum(entry.block.num_addresses for entry in self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 

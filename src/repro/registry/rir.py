@@ -140,15 +140,3 @@ INTER_RIR_PARTIES = frozenset(
 def profile_for(rir: RIR) -> RIRProfile:
     """Return the static profile of ``rir``."""
     return _PROFILE_INDEX[rir]
-
-
-def all_profiles() -> Tuple[RIRProfile, ...]:
-    """All five profiles in a stable order."""
-    return _PROFILES
-
-
-def exhaustion_table() -> Dict[RIR, Tuple[datetime.date, Optional[datetime.date]]]:
-    """Table 1 of the paper: (down-to-last-/8, start-of-recovery)."""
-    return {
-        p.rir: (p.last_slash8_date, p.depletion_date) for p in _PROFILES
-    }

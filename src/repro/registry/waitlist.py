@@ -26,25 +26,17 @@ class WaitingRequest:
     def pending(self) -> bool:
         return self.fulfilled_on is None
 
-    def waiting_days(self, as_of: datetime.date) -> int:
-        """Days spent waiting, up to fulfillment or ``as_of``."""
-        end = self.fulfilled_on or as_of
-        return (end - self.approved_on).days
-
 
 @dataclass
 class WaitingList:
     """FIFO waiting list of one RIR."""
 
     requests: List[WaitingRequest] = field(default_factory=list)
-    abolished_on: Optional[datetime.date] = None
 
     def enqueue(
         self, org_id: str, requested_length: int, date: datetime.date
     ) -> WaitingRequest:
         """Append an approved request; returns the queued entry."""
-        if self.abolished_on is not None and date >= self.abolished_on:
-            raise ValueError("waiting list has been abolished")
         request = WaitingRequest(
             org_id=org_id,
             requested_length=requested_length,
@@ -70,19 +62,6 @@ class WaitingList:
         if request is not None:
             request.fulfilled_on = date
         return request
-
-    def abolish(self, date: datetime.date) -> List[WaitingRequest]:
-        """Abolish the list (APNIC, July 2019); returns dropped entries."""
-        self.abolished_on = date
-        dropped = self.pending()
-        self.requests = [r for r in self.requests if not r.pending]
-        return dropped
-
-    def max_waiting_days(self, as_of: datetime.date) -> int:
-        """Longest wait experienced by any request, in days."""
-        if not self.requests:
-            return 0
-        return max(r.waiting_days(as_of) for r in self.requests)
 
     def __len__(self) -> int:
         return len(self.pending())

@@ -48,9 +48,6 @@ class RoaDatabase:
         except KeyError:
             raise RpkiError(f"no snapshot for {date}") from None
 
-    def has_snapshot(self, date: datetime.date) -> bool:
-        return date in self._snapshots
-
     def dates(self) -> List[datetime.date]:
         return sorted(self._snapshots)
 

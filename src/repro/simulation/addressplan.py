@@ -8,7 +8,7 @@ RIR plus convenience allocation helpers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.errors import SimulationError
 from repro.netbase.prefix import IPv4Prefix
@@ -49,11 +49,6 @@ class AddressPlan:
             raise SimulationError(
                 f"{rir.display_name} address plan exhausted at /{length}"
             ) from exc
-
-    def take_many(
-        self, rir: RIR, length: int, count: int
-    ) -> List[IPv4Prefix]:
-        return [self.take(rir, length) for _ in range(count)]
 
     def region_of(self, prefix: IPv4Prefix) -> RIR:
         """The region whose /8 space contains ``prefix``."""

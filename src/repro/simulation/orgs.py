@@ -35,11 +35,6 @@ class BusinessModel(enum.Enum):
         """Does this kind of org delegate space to others?"""
         return self in (BusinessModel.ISP, BusinessModel.HOSTER)
 
-    @property
-    def rotates_leases(self) -> bool:
-        """VPN providers and spammers churn their leased prefixes."""
-        return self in (BusinessModel.VPN_PROVIDER, BusinessModel.SPAMMER)
-
 
 @dataclass
 class SimOrg:
@@ -65,10 +60,6 @@ class SimOrg:
         if not self.asns:
             raise SimulationError(f"{self.org_id} has no AS")
         return self.asns[0]
-
-    @property
-    def is_lir(self) -> bool:
-        return bool(self.holdings)
 
 
 #: Model mix for LIR-type orgs (delegators) and customer-type orgs.

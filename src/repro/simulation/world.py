@@ -25,7 +25,6 @@ from repro.errors import SimulationError
 from repro.market.leasing import LeasingProvider, ScrapeLog, default_leasing_providers
 from repro.market.pricing import PriceModel
 from repro.market.transactions import TransactionDataset
-from repro.netbase.prefix import IPv4Prefix
 from repro.rdap.client import RdapClient
 from repro.rdap.server import RdapServer
 from repro.registry.pool import FreePool
@@ -220,23 +219,10 @@ class World:
             self.collector_system(), source=self.announcement_source()
         )
 
-    def true_delegated_prefixes_on(
-        self, date: datetime.date
-    ) -> List[IPv4Prefix]:
-        """Ground truth: cross-org delegated prefixes active on a day."""
-        return [
-            spec.prefix
-            for spec in self.delegation_plan().cross_org()
-            if spec.active_on(date)
-        ]
-
     # -- registration data ---------------------------------------------------------
 
     def whois(self) -> WhoisDatabase:
         return self._whois_built()[0]
-
-    def whois_report(self) -> WhoisBuildReport:
-        return self._whois_built()[1]
 
     def _whois_built(self) -> Tuple[WhoisDatabase, WhoisBuildReport]:
         if self._whois is None:

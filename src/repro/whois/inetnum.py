@@ -41,14 +41,6 @@ class InetnumStatus(enum.Enum):
     SUB_ALLOCATED_PA = "SUB-ALLOCATED PA"
     LEGACY = "LEGACY"
 
-    @property
-    def is_delegation_related(self) -> bool:
-        """True for the two types the paper extracts (§4)."""
-        return self in (
-            InetnumStatus.ASSIGNED_PA,
-            InetnumStatus.SUB_ALLOCATED_PA,
-        )
-
     @classmethod
     def parse(cls, text: str) -> "InetnumStatus":
         for status in cls:
@@ -147,18 +139,6 @@ class InetnumObject:
     def properly_contains(self, other: "InetnumObject") -> bool:
         return self.contains(other) and (
             self.first != other.first or self.last != other.last
-        )
-
-    def same_registrant(self, other: "InetnumObject") -> bool:
-        """Intra-organization test: same registrant *or* same admin.
-
-        Mirrors the paper's filter: "we remove intra-organization
-        delegations, i.e., where the child block has the same registrant
-        or administrator as the parent block."
-        """
-        return (
-            self.org_handle == other.org_handle
-            or self.admin_handle == other.admin_handle
         )
 
     def key(self) -> Tuple[int, int]:

@@ -20,7 +20,6 @@ class TestBoxStats:
         assert stats.median == 3.0
         assert stats.q1 == 2.0 and stats.q3 == 4.0
         assert stats.mean == 3.0
-        assert stats.iqr == 2.0
 
     def test_single_value(self):
         stats = box_stats([7.0])

@@ -32,11 +32,6 @@ class TestSnapshot:
         assert not snapshot.same_org(999, 998)
         assert not snapshot.same_org(999, 999)
 
-    def test_org_of(self):
-        snapshot = build_snapshot(D(2020, 1, 1))
-        assert snapshot.org_of(100) == "ORG-A"
-        assert snapshot.org_of(999) is None
-
     def test_duplicate_org_rejected(self):
         snapshot = build_snapshot(D(2020, 1, 1))
         with pytest.raises(DatasetError):

@@ -213,16 +213,9 @@ class TestRoutingTable:
         path = ASPath.from_asns([10, 20, 30])
         assert rib.announce(p("101.100.0.0/24"), path)
         assert not rib.announce(p("101.100.0.0/24"), path)  # no change
-        assert rib.route_for(p("101.100.0.0/24")) == path
+        assert [r.as_path for r in rib.records(D(2020, 1, 1))] == [path]
         assert rib.withdraw(p("101.100.0.0/24"))
         assert not rib.withdraw(p("101.100.0.0/24"))
-
-    def test_best_match(self):
-        rib = RoutingTable("rrc00", 10)
-        rib.announce(p("101.100.0.0/16"), ASPath.from_asns([10, 30]))
-        rib.announce(p("101.100.1.0/24"), ASPath.from_asns([10, 31]))
-        match = rib.best_match(p("101.100.1.128/25"))
-        assert match[0] == p("101.100.1.0/24")
 
     def test_reconcile_produces_updates(self):
         rib = RoutingTable("rrc00", 10)
@@ -298,4 +291,4 @@ class TestSanitize:
         ]
         list(sanitize_records(records, stats))
         assert stats.total == 2
-        assert stats.as_dict()["kept"] == 1
+        assert stats.kept == 1

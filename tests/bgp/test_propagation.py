@@ -102,7 +102,7 @@ class TestPaths:
         path = model.path(31, 10)
         assert path is not None
         assert path.origin().sole_origin() == 31
-        assert path.first_hop() == 10
+        assert next(path.asns()) == 10
 
     def test_no_path_when_unreachable(self):
         t = ASTopology()
@@ -134,16 +134,14 @@ class TestPaths:
         path = model.path(31, 30)
         assert len(list(path.asns())) == 3
 
-    def test_cache_and_clear(self, model):
+    def test_receivers_cached(self, model):
         first = model.receivers(30)
         assert model.receivers(30) is first  # cached object
-        model.clear_cache()
-        assert model.receivers(30) == first
 
 
 class TestVisibilityFraction:
     def test_full_visibility(self, model):
-        assert model.visibility_fraction(30, frozenset({10, 11, 21})) == 1.0
+        assert {10, 11, 21} <= model.receivers(30)
 
     def test_partial_visibility(self):
         t = ASTopology()
@@ -152,10 +150,7 @@ class TestVisibilityFraction:
         t.add_customer_provider(30, 20)
         t.add_customer_provider(31, 21)
         model = PropagationModel(t)
-        assert model.visibility_fraction(30, frozenset({20, 21})) == 0.5
-
-    def test_empty_monitors(self, model):
-        assert model.visibility_fraction(30, frozenset()) == 0.0
+        assert model.receivers(30) & {20, 21} == {20}
 
 
 class TestGeneratedTopology:
@@ -168,4 +163,4 @@ class TestGeneratedTopology:
         stubs = topology.tier_members(3)[:20]
         for stub in stubs:
             # The hierarchy is connected: full monitor visibility.
-            assert model.visibility_fraction(stub, monitors) == 1.0
+            assert monitors <= model.receivers(stub)

@@ -34,7 +34,7 @@ class TestConstruction:
         assert small.providers_of(20) == {10}
         assert small.customers_of(10) == {20}
         assert small.peers_of(10) == {11}
-        assert small.tier_of(30) == 3
+        assert 30 in small.tier_members(3)
 
     def test_duplicate_as_rejected(self, small):
         with pytest.raises(BgpError):
@@ -95,9 +95,8 @@ class TestGenerate:
         t = ASTopology.generate(
             TopologyConfig(tier1_count=3, mid_count=10, stub_count=30)
         )
-        for asn in t.asns:
-            if t.tier_of(asn) != 1:
-                assert t.providers_of(asn)
+        for asn in t.asns - set(t.tier_members(1)):
+            assert t.providers_of(asn)
 
     def test_validation(self):
         with pytest.raises(BgpError):
@@ -113,7 +112,7 @@ class TestGenerate:
         )
         monitors = t.well_connected_asns(6, seed=1)
         assert len(monitors) == 6
-        assert all(t.tier_of(m) <= 2 for m in monitors)
+        assert set(monitors) <= set(t.tier_members(1) + t.tier_members(2))
         assert monitors == t.well_connected_asns(6, seed=1)
 
     def test_too_many_monitors(self, small):

@@ -146,7 +146,7 @@ class TestCache:
         )
         assert warm.runner_stats.days_computed == 0
         assert warm.runner_stats.days_from_cache == 15
-        assert warm.runner_stats.cache_hit_rate == 1.0
+        assert warm.runner_stats.days_total == 15
         assert warm.daily.dates() == cold.daily.dates()
         for date in warm.daily.dates():
             assert warm.daily.on(date) == cold.daily.on(date)

@@ -115,7 +115,6 @@ class TestClientBackoffCap:
             initial_seconds=1.0, max_backoff_seconds=1.0
         )
         client, clock = _throttling_client(2, backoff=policy)
-        assert client.backoff_policy is policy
         prefix = IPv4Prefix.parse("193.0.0.0/24")
         assert client.lookup_ip(prefix) is not None
         with pytest.raises(RdapError):

@@ -1,19 +1,9 @@
-"""Unit tests for brokers and the order book."""
-
-import datetime
+"""Unit tests for brokers."""
 
 import pytest
 
-from repro.errors import MarketError, OrderError
+from repro.errors import MarketError
 from repro.market.broker import Broker, CommissionSide, default_brokers
-from repro.market.orderbook import OrderBook
-from repro.netbase.prefix import IPv4Prefix
-
-D = datetime.date
-
-
-def p(text):
-    return IPv4Prefix.parse(text)
 
 
 class TestBroker:
@@ -24,11 +14,6 @@ class TestBroker:
         assert buyer_side.commission_amounts(1000.0) == (0.0, 100.0)
         split = Broker("C", 0.10, CommissionSide.SPLIT)
         assert split.commission_amounts(1000.0) == (50.0, 50.0)
-
-    def test_net_gross(self):
-        broker = Broker("A", 0.08, CommissionSide.SELLER)
-        assert broker.seller_net(1000.0) == pytest.approx(920.0)
-        assert broker.buyer_gross(1000.0) == pytest.approx(1000.0)
 
     def test_validation(self):
         with pytest.raises(MarketError):
@@ -45,68 +30,3 @@ class TestBroker:
         assert [b.name for b in public] == ["IPv4.Global"]
         assert sum(b.shares_private_data for b in brokers) == 3
         assert all(0.05 <= b.commission_rate <= 0.10 for b in brokers)
-
-
-class TestOrderBook:
-    @pytest.fixture
-    def book(self):
-        return OrderBook()
-
-    def test_match_exact_size_cheapest_ask(self, book):
-        book.place_sell("s1", p("193.0.0.0/24"), 25.0, D(2020, 1, 1))
-        book.place_sell("s2", p("193.0.1.0/24"), 22.0, D(2020, 1, 2))
-        book.place_buy("b1", 24, 24.0, D(2020, 1, 3))
-        matches = book.match(D(2020, 1, 4))
-        assert len(matches) == 1
-        assert matches[0].sell.org_id == "s2"
-        assert matches[0].price_per_address == 22.0
-        # s1's ask exceeded the bid and stays open.
-        assert len(book.open_sells()) == 1
-        assert not book.open_buys()
-
-    def test_no_match_on_size_mismatch(self, book):
-        book.place_sell("s1", p("193.0.0.0/23"), 20.0, D(2020, 1, 1))
-        book.place_buy("b1", 24, 30.0, D(2020, 1, 2))
-        assert book.match(D(2020, 1, 3)) == []
-
-    def test_fifo_among_buyers(self, book):
-        book.place_sell("s1", p("193.0.0.0/24"), 20.0, D(2020, 1, 1))
-        book.place_buy("late", 24, 30.0, D(2020, 1, 3))
-        book.place_buy("early", 24, 30.0, D(2020, 1, 2))
-        matches = book.match(D(2020, 1, 4))
-        assert [m.buy.org_id for m in matches] == ["early"]
-
-    def test_withdraw(self, book):
-        order = book.place_sell("s1", p("193.0.0.0/24"), 20.0, D(2020, 1, 1))
-        book.withdraw_sell(order)
-        book.place_buy("b1", 24, 30.0, D(2020, 1, 2))
-        assert book.match(D(2020, 1, 3)) == []
-
-    def test_best_ask(self, book):
-        assert book.best_ask(24) is None
-        book.place_sell("s1", p("193.0.0.0/24"), 25.0, D(2020, 1, 1))
-        book.place_sell("s2", p("193.0.1.0/24"), 22.0, D(2020, 1, 1))
-        assert book.best_ask(24) == 22.0
-
-    def test_anchor_asks(self, book):
-        book.place_sell("s1", p("193.0.0.0/24"), 40.0, D(2020, 1, 1))
-        book.place_sell("s2", p("193.0.1.0/24"), 23.0, D(2020, 1, 1))
-        adjusted = book.anchor_asks(reference_price=22.5, tolerance=0.15)
-        assert adjusted == 1
-        asks = sorted(o.ask for o in book.open_sells())
-        assert asks[0] == 23.0
-        assert asks[1] == pytest.approx(22.5 * 1.15, abs=0.01)
-
-    def test_anchor_validation(self, book):
-        with pytest.raises(OrderError):
-            book.anchor_asks(0)
-
-    def test_order_validation(self, book):
-        with pytest.raises(OrderError):
-            book.place_sell("s", p("193.0.0.0/25"), 20.0, D(2020, 1, 1))
-        with pytest.raises(OrderError):
-            book.place_sell("s", p("193.0.0.0/24"), -5.0, D(2020, 1, 1))
-        with pytest.raises(OrderError):
-            book.place_buy("b", 30, 20.0, D(2020, 1, 1))
-        with pytest.raises(OrderError):
-            book.place_buy("b", 24, 0.0, D(2020, 1, 1))

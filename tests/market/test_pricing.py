@@ -57,11 +57,6 @@ class TestTrend:
     def test_before_start_clamps(self, model):
         assert model.trend_price(D(2015, 1, 1)) == model.config.start_price
 
-    def test_reference_price(self, model):
-        assert model.reference_price(D(2020, 1, 1)) == pytest.approx(
-            model.trend_price(D(2020, 1, 1)), abs=0.01
-        )
-
     def test_config_validation(self):
         with pytest.raises(MarketError):
             PriceModel(PriceModelConfig(start_price=-1))

@@ -9,7 +9,6 @@ from repro.netbase.asnum import (
     OriginSet,
     is_private_asn,
     is_reserved_asn,
-    is_routable_asn,
     validate_asn,
 )
 
@@ -42,13 +41,6 @@ class TestClassification:
         assert is_private_asn(4_200_000_000)
         assert not is_private_asn(65535)
         assert not is_private_asn(3356)
-
-    def test_routable(self):
-        assert is_routable_asn(3356)
-        assert is_routable_asn(200000)
-        assert not is_routable_asn(0)
-        assert not is_routable_asn(64512)
-        assert not is_routable_asn(AS_TRANS)
 
 
 class TestOriginSet:

@@ -25,11 +25,9 @@ class TestParsing:
 
     def test_empty(self):
         path = ASPath.parse("")
-        assert path.is_empty
+        assert path.segments == ()
         with pytest.raises(ASPathError):
             path.origin()
-        with pytest.raises(ASPathError):
-            path.first_hop()
 
     @pytest.mark.parametrize("bad", ["701 {1,2", "701 {}", "70x1", "{a}"])
     def test_malformed(self, bad):
@@ -38,7 +36,7 @@ class TestParsing:
 
     def test_from_asns(self):
         assert ASPath.from_asns([1, 2, 3]) == ASPath.parse("1 2 3")
-        assert ASPath.from_asns([]).is_empty
+        assert ASPath.from_asns([]).segments == ()
 
 
 class TestOrigin:
@@ -49,9 +47,6 @@ class TestOrigin:
         origin = ASPath.parse("701 {1,2}").origin()
         assert not origin.is_unique
         assert set(origin) == {1, 2}
-
-    def test_first_hop(self):
-        assert ASPath.parse("701 3356 13335").first_hop() == 701
 
 
 class TestLoops:
@@ -81,14 +76,6 @@ class TestSanitizationPredicates:
         assert ASPath.parse("701 23456").has_reserved_asn()
         assert not ASPath.parse("701 3356").has_reserved_asn()
         assert ASPath.parse("701 {64496}").has_reserved_asn()
-
-    def test_strip_prepending(self):
-        path = ASPath.parse("701 3356 3356 13335 13335 13335")
-        assert str(path.strip_prepending()) == "701 3356 13335"
-
-    def test_strip_preserves_sets(self):
-        path = ASPath.parse("701 701 {1,2}")
-        assert str(path.strip_prepending()) == "701 {1,2}"
 
 
 class TestProtocol:

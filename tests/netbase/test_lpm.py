@@ -6,7 +6,6 @@ import pytest
 
 from repro.netbase.lpm import (
     SortedPrefixMap,
-    broadcast_of,
     nearest_strict_covers,
     pack,
     unpack,
@@ -33,11 +32,6 @@ class TestPackedKeys:
         by_key = sorted(pack(p.network, p.length) for p in prefixes)
         by_tuple = sorted((p.network, p.length) for p in prefixes)
         assert [unpack(k) for k in by_key] == by_tuple
-
-    def test_broadcast_of(self):
-        prefix = P("192.168.4.0/22")
-        assert broadcast_of(pack(prefix.network, prefix.length)) == \
-            prefix.broadcast
 
 
 class TestSortedPrefixMap:
@@ -120,15 +114,6 @@ class TestSortedPrefixMap:
         assert list(spm) == list(spm.keys())
         assert bool(spm) and len(spm) == 3
         assert not SortedPrefixMap()
-
-    def test_from_packed_adopts_columns(self):
-        keys = array("Q", sorted(
-            pack(p.network, p.length)
-            for p in (P("10.0.0.0/8"), P("10.0.0.0/16"))
-        ))
-        spm = SortedPrefixMap.from_packed(keys, ["a", "b"])
-        assert spm[P("10.0.0.0/8")] == "a"
-        assert spm.longest_match(P("10.0.0.1/32")) == (P("10.0.0.0/16"), "b")
 
 
 class TestNearestStrictCovers:

@@ -78,10 +78,6 @@ class TestProperties:
         assert p.broadcast == parse_address("192.0.2.255")
         assert p.num_addresses == 256
 
-    def test_netmask(self):
-        assert IPv4Prefix.parse("10.0.0.0/8").netmask == 0xFF000000
-        assert IPv4Prefix.parse("0.0.0.0/0").netmask == 0
-
     def test_slash_32(self):
         p = IPv4Prefix.parse("1.2.3.4/32")
         assert p.num_addresses == 1
@@ -99,10 +95,9 @@ class TestRelations:
     def test_subnet_relations(self):
         big = IPv4Prefix.parse("10.0.0.0/8")
         small = IPv4Prefix.parse("10.1.0.0/16")
-        assert small.is_subnet_of(big)
-        assert small.is_proper_subnet_of(big)
-        assert not big.is_proper_subnet_of(big)
-        assert big.is_subnet_of(big)
+        assert big.covers(small)
+        assert not small.covers(big)
+        assert big.covers(big)
 
     def test_overlaps(self):
         a = IPv4Prefix.parse("10.0.0.0/8")

@@ -305,57 +305,6 @@ class TestPromOut:
             assert "--prom-out" in err
 
 
-class TestObsTopCli:
-    def test_parser_wiring(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args([
-            "obs", "top", "localhost:8080",
-            "--interval", "0.5", "--count", "2", "--no-clear",
-        ])
-        assert args.target == "localhost:8080"
-        assert args.interval == 0.5
-        assert args.count == 2
-        assert args.no_clear
-
-    def test_unreachable_target_is_clean_error(self, capsys):
-        assert main([
-            "obs", "top", "127.0.0.1:1", "--count", "1"
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "cannot reach" in err
-
-    def test_top_against_live_server(self, tmp_path, capsys):
-        """End-to-end: one dashboard frame from a real CLI server."""
-        import threading
-        import time as time_module
-
-        ready = tmp_path / "ready.txt"
-        server = threading.Thread(target=main, args=([
-            "serve", "--no-infer",
-            "--whois-port", "0", "--http-port", "0",
-            "--serve-seconds", "3",
-            "--ready-file", str(ready),
-        ],))
-        server.start()
-        try:
-            deadline = time_module.monotonic() + 10.0
-            while not ready.exists():
-                assert time_module.monotonic() < deadline, "no ready file"
-                time_module.sleep(0.02)
-            host, _whois, http_port = ready.read_text().split()
-            assert main([
-                "obs", "top", f"{host}:{http_port}",
-                "--count", "1", "--no-clear",
-            ]) == 0
-            out = capsys.readouterr().out
-            assert "repro obs top — ok" in out
-            assert "1m" in out and "5m" in out
-        finally:
-            server.join(timeout=15.0)
-        assert not server.is_alive()
-
-
 class TestHistoryCli:
     @pytest.fixture()
     def recorded(self, tmp_path, capsys):

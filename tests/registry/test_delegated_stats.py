@@ -11,10 +11,8 @@ from repro.registry.delegated_stats import (
     DelegationStatus,
     available_addresses,
     parse_file,
-    read_file,
     records_from_registry,
     render_file,
-    write_file,
 )
 from repro.registry.registry import RIRRegistry
 from repro.registry.rir import RIR
@@ -112,14 +110,6 @@ class TestFile:
             "ripencc|EU|ipv4|193.0.0.0|256|19930901|allocated|x\n"
         )
         assert len(parse_file(text)) == 1
-
-    def test_file_io(self, tmp_path):
-        path = write_file(
-            RIR.RIPE, [record()],
-            tmp_path / "delegated-ripencc-extended-latest",
-            file_date=D(2020, 6, 1),
-        )
-        assert len(read_file(path)) == 1
 
     def test_available_addresses(self):
         records = [

@@ -87,7 +87,7 @@ class TestRecovery:
         _, block = ripe.request_allocation("org-1", d("2020-01-02"))
         ripe.recover("org-1", block, d("2020-02-01"))
         assert ripe.holder_of(block) is None
-        assert ripe.quarantine.quarantined_addresses() == block.num_addresses
+        assert [e.block for e in ripe.quarantine.pending()] == [block]
 
     def test_recover_wrong_org(self, ripe):
         ripe.open_membership("org-1", d("2020-01-01"))

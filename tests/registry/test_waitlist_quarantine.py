@@ -27,30 +27,8 @@ class TestWaitingList:
         assert len(wl) == 1
         assert wl.next_pending().org_id == "org-b"
 
-    def test_waiting_days(self):
-        wl = WaitingList()
-        request = wl.enqueue("org-a", 24, d("2020-01-01"))
-        assert request.waiting_days(d("2020-05-10")) == 130
-        wl.fulfill_next(d("2020-03-01"))
-        assert request.waiting_days(d("2020-05-10")) == 60
-
-    def test_max_waiting_days(self):
-        wl = WaitingList()
-        wl.enqueue("org-a", 24, d("2020-01-01"))
-        wl.enqueue("org-b", 24, d("2020-03-01"))
-        assert wl.max_waiting_days(d("2020-05-10")) == 130
-
     def test_fulfill_empty(self):
         assert WaitingList().fulfill_next(d("2020-01-01")) is None
-
-    def test_abolish(self):
-        wl = WaitingList()
-        wl.enqueue("org-a", 24, d("2019-01-01"))
-        dropped = wl.abolish(d("2019-07-02"))
-        assert [r.org_id for r in dropped] == ["org-a"]
-        assert len(wl) == 0
-        with pytest.raises(ValueError):
-            wl.enqueue("org-b", 24, d("2019-08-01"))
 
     def test_bool(self):
         wl = WaitingList()
@@ -74,12 +52,6 @@ class TestQuarantine:
         released = q.release_due(d("2020-01-11"))
         assert released == [p("10.0.0.0/24")]
         assert len(q) == 1
-
-    def test_quarantined_addresses(self):
-        q = QuarantineQueue(holding_days=10)
-        q.admit(p("10.0.0.0/24"), d("2020-01-01"))
-        q.admit(p("10.1.0.0/23"), d("2020-01-01"))
-        assert q.quarantined_addresses() == 256 + 512
 
     def test_zero_holding(self):
         q = QuarantineQueue(holding_days=0)

@@ -93,8 +93,7 @@ class TestDatabase:
 
     def test_snapshot_access(self, database):
         assert len(database) == 2
-        assert database.has_snapshot(D(2020, 1, 1))
-        assert not database.has_snapshot(D(2019, 1, 1))
+        assert database.dates() == [D(2020, 1, 1), D(2020, 1, 2)]
         with pytest.raises(RpkiError):
             database.snapshot(D(2019, 1, 1))
         with pytest.raises(RpkiError):

@@ -47,9 +47,3 @@ class TestAddressPlan:
         plan = AddressPlan()
         with pytest.raises(SimulationError):
             plan.region_of(IPv4Prefix.parse("11.0.0.0/8"))
-
-    def test_take_many(self):
-        plan = AddressPlan()
-        blocks = plan.take_many(RIR.APNIC, 24, 10)
-        assert len(blocks) == 10
-        assert len(set(blocks)) == 10

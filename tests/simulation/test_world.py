@@ -8,6 +8,7 @@ from repro.registry.rir import RIR
 from repro.registry.transfers import TransferType
 from repro.simulation import World, paper_scenario, small_scenario
 from repro.simulation.scenario import ScenarioConfig
+from repro.whois.inetnum import InetnumStatus
 from repro.errors import ScenarioError
 from tests.simulation.world_digests import rpki_digest, whois_digest
 
@@ -108,8 +109,9 @@ class TestOrgs:
 
 class TestWhoisWorld:
     def test_small_fraction_matches_config(self, world):
-        report = world.whois_report()
-        fraction = report.assigned_small / report.assigned_total
+        assigned = world.whois().by_status(InetnumStatus.ASSIGNED_PA)
+        small = [obj for obj in assigned if obj.num_addresses < 256]
+        fraction = len(small) / len(assigned)
         assert fraction == pytest.approx(
             world.config.assigned_small_fraction, abs=0.01
         )

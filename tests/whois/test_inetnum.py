@@ -20,11 +20,6 @@ def make(first, last, status=InetnumStatus.ASSIGNED_PA, org="ORG-A",
 
 
 class TestStatus:
-    def test_delegation_related(self):
-        assert InetnumStatus.ASSIGNED_PA.is_delegation_related
-        assert InetnumStatus.SUB_ALLOCATED_PA.is_delegation_related
-        assert not InetnumStatus.ALLOCATED_PA.is_delegation_related
-        assert not InetnumStatus.LEGACY.is_delegation_related
 
     def test_parse(self):
         assert InetnumStatus.parse("ASSIGNED PA") is InetnumStatus.ASSIGNED_PA
@@ -74,21 +69,6 @@ class TestRelations:
         assert not child.contains(parent)
         assert parent.contains(parent)
         assert not parent.properly_contains(parent)
-
-    def test_same_registrant_via_org(self):
-        a = make("193.0.0.0", "193.0.0.255", org="ORG-X", admin="AC-1")
-        b = make("193.0.1.0", "193.0.1.255", org="ORG-X", admin="AC-2")
-        assert a.same_registrant(b)
-
-    def test_same_registrant_via_admin(self):
-        a = make("193.0.0.0", "193.0.0.255", org="ORG-X", admin="AC-9")
-        b = make("193.0.1.0", "193.0.1.255", org="ORG-Y", admin="AC-9")
-        assert a.same_registrant(b)
-
-    def test_different_registrants(self):
-        a = make("193.0.0.0", "193.0.0.255", org="ORG-X", admin="AC-1")
-        b = make("193.0.1.0", "193.0.1.255", org="ORG-Y", admin="AC-2")
-        assert not a.same_registrant(b)
 
 
 class TestOrgObject:
